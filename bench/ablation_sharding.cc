@@ -30,9 +30,7 @@ main()
     double baseline = 0.0;
     for (uint32_t nodes : {1u, 2u, 4u, 8u, 16u, 32u}) {
         ShardedInference sim(broadwell(), rmc2Small(), nodes, net, opts);
-        ShardedResult r =
-            sim.run(RunOptions{.warmupIters = 8, .measureIters = 6})
-                .breakdown();
+        RunResult r = sim.run(RunOptions{.warmupIters = 8, .measureIters = 6});
         if (nodes == 1)
             baseline = r.totalSeconds;
         std::printf("  %5u %9.3f ms %9.3f ms %9.3f ms %9.3f ms   "
@@ -47,9 +45,7 @@ main()
         NetworkConfig slow = net;
         slow.bandwidthGBps = bw;
         ShardedInference sim(broadwell(), rmc2Small(), 8, slow, opts);
-        ShardedResult r =
-            sim.run(RunOptions{.warmupIters = 8, .measureIters = 6})
-                .breakdown();
+        RunResult r = sim.run(RunOptions{.warmupIters = 8, .measureIters = 6});
         std::printf("  %5.1f GB/s links: total %.3f ms (network "
                     "%.3f ms)\n", bw, r.totalSeconds * 1e3,
                     r.networkSeconds * 1e3);

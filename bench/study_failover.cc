@@ -58,7 +58,7 @@ struct Cell
 {
     uint32_t replicas;
     double mtbfSeconds; // 0 = fault-free
-    ReplicatedShardedResult result;
+    RunResult result;
 };
 
 FaultOptions
@@ -71,7 +71,7 @@ faultsAt(double mtbf_seconds, uint64_t seed)
     return f;
 }
 
-ReplicatedShardedResult
+RunResult
 runCell(uint32_t replicas, double mtbf_seconds, uint64_t seed, int iters)
 {
     TimerOptions topts;
@@ -103,7 +103,7 @@ runCell(uint32_t replicas, double mtbf_seconds, uint64_t seed, int iters)
 void
 cellJson(bench::JsonWriter &json, const Cell &c)
 {
-    const ReplicatedShardedResult &r = c.result;
+    const RunResult &r = c.result;
     json.newResult()
         .add("replicas", c.replicas)
         .add("mtbf_ms", c.mtbfSeconds * 1e3)
@@ -162,7 +162,7 @@ main(int argc, char **argv)
     std::printf("  %-22s | %-12s | %-10s | %-9s | %s\n", "cell",
                 "availability", "p99", "failovers", "breakers o/c");
     for (const Cell &c : cells) {
-        const ReplicatedShardedResult &r = c.result;
+        const RunResult &r = c.result;
         std::printf("  %-22s | %10.2f%% | %7.3f ms | %9llu | %llu/%llu\n",
                     c.mtbfSeconds == 0.0
                         ? "fault-free baseline"
@@ -178,7 +178,7 @@ main(int argc, char **argv)
     bench::section("invariants");
 
     for (const Cell &c : cells) {
-        const ReplicatedShardedResult &r = c.result;
+        const RunResult &r = c.result;
         RP_ASSERT(r.completed + r.failed ==
                       static_cast<uint64_t>(iters),
                   "accounting broken at R=%u: %llu + %llu != %d",
@@ -189,7 +189,7 @@ main(int argc, char **argv)
     std::printf("  [ok] completed + failed == offered in every cell\n");
 
     double baseline_p99 = cells[0].result.latency.p(99);
-    const ReplicatedShardedResult &r1 = cells[1].result;
+    const RunResult &r1 = cells[1].result;
     RP_ASSERT(r1.availability() < kAvailabilityBound,
               "R=1 under MTBF=10xMTTR should violate the %.1f%% "
               "availability bound (got %.2f%%) -- replication would "
@@ -205,7 +205,7 @@ main(int argc, char **argv)
                 kTailBound * baseline_p99 * 1e3);
 
     for (size_t i = 2; i < cells.size(); ++i) {
-        const ReplicatedShardedResult &r = cells[i].result;
+        const RunResult &r = cells[i].result;
         RP_ASSERT(r.availability() >= kAvailabilityBound,
                   "R=%u availability %.3f%% below the %.1f%% bound",
                   cells[i].replicas, r.availability() * 100,

@@ -53,7 +53,7 @@ faultsAt(double mtbf_seconds)
     return f;
 }
 
-ResilientShardedResult
+RunResult
 runCell(double mtbf_seconds, const HedgePolicy &hedge)
 {
     TimerOptions opts;
@@ -104,7 +104,7 @@ shardedGrid()
     for (const auto &[row_name, mtbf] : rows) {
         std::printf("  %-12s", row_name);
         for (size_t c = 0; c < cols.size(); ++c) {
-            ResilientShardedResult r = runCell(mtbf, cols[c].policy);
+            RunResult r = runCell(mtbf, cols[c].policy);
             std::string cell = strprintf(
                 "p99 %6.3f ms %5.0f inf/s %s", r.latency.p(99) * 1e3,
                 r.goodput(),

@@ -80,11 +80,8 @@ class RecModel
     const std::vector<FullyConnected> &topLayers() const { return top_; }
     const std::vector<EmbeddingTable> &tables() const { return tables_; }
 
-    /** @{ Mutable parameter access for optimizers (train/trainer.hh). */
-    std::vector<FullyConnected> &bottomLayers() { return bottom_; }
-    std::vector<FullyConnected> &topLayers() { return top_; }
+    /** Mutable table access, for fault injection into embedding rows. */
     std::vector<EmbeddingTable> &tables() { return tables_; }
-    /** @} */
 
   private:
     ModelConfig config_;

@@ -69,8 +69,8 @@ ModelConfig rmc1PaperExample();
 
 /**
  * MLPerf-NCF baseline approximated in ModelConfig form for the
- * characterization comparisons of Fig 12 (the faithful functional
- * implementation lives in model/ncf.hh).
+ * characterization comparisons of Fig 12. NCF exists only as this
+ * cost-model config; it has no functional implementation.
  */
 ModelConfig ncfConfig();
 

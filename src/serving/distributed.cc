@@ -45,7 +45,7 @@ shardConfig(const ModelConfig &base, uint32_t shard, uint32_t num_shards)
 } // namespace
 
 double
-ResilientShardedResult::availability() const
+RunResult::availability() const
 {
     uint64_t total = completed + failed + deadlineExpired;
     return total > 0 ? static_cast<double>(completed) /
@@ -53,7 +53,7 @@ ResilientShardedResult::availability() const
 }
 
 double
-ResilientShardedResult::goodput() const
+RunResult::goodput() const
 {
     return duration > 0.0 ? static_cast<double>(completed) / duration
                           : 0.0;
@@ -644,7 +644,7 @@ ShardedInference::resolveShard(FaultInjector &injector,
                                double base_seconds, double now,
                                const DeadlineCtx &ctx,
                                const SdcController *sdc,
-                               ResilientShardedResult *result)
+                               RunResult *result)
 {
     const Deadline &dl = ctx.deadline;
     double waited = 0.0;
@@ -767,7 +767,7 @@ ShardedInference::resolveReplicated(FaultInjector &injector,
                                     const ChaosSchedule *chaos,
                                     const DeadlineCtx &ctx,
                                     const SdcController *sdc,
-                                    ReplicatedShardedResult *result)
+                                    RunResult *result)
 {
     const Deadline &dl = ctx.deadline;
     // Replica r of shard s runs failure process s*R + r; scripted chaos

@@ -38,112 +38,6 @@ struct NetworkConfig
     double bandwidthGBps = 3.0;   ///< per-link (25 GbE-class)
 };
 
-/** Per-inference latency breakdown of a sharded execution. */
-struct ShardedResult
-{
-    double totalSeconds = 0.0;
-    double slowestShardSeconds = 0.0; ///< parallel SLS across nodes
-    double networkSeconds = 0.0;      ///< pooled-vector all-to-one
-    double aggregatorSeconds = 0.0;   ///< bottom/top MLP + interaction
-
-    /** Pooled-embedding bytes crossing the network per inference. */
-    double networkBytes = 0.0;
-};
-
-/**
- * Outcome of a fault-injected sharded run with mitigation policies
- * (timeouts, retries, hedging) active.
- */
-struct ResilientShardedResult
-{
-    /** End-to-end latency of each *completed* inference (seconds). */
-    LatencySample latency;
-
-    /** Inferences whose shards all answered (possibly after retries or
-     *  via a hedge). */
-    uint64_t completed = 0;
-
-    /** Inferences abandoned after retry exhaustion on some shard. */
-    uint64_t failed = 0;
-
-    /** Inferences cancelled because the deadline budget expired (or a
-     *  cancellation token fired) mid-fan-out — counted as
-     *  deadline-shed, never as late completions. */
-    uint64_t deadlineExpired = 0;
-
-    /** Attempts skipped outright because the remaining budget could
-     *  not cover the p50 of a fresh attempt (fail fast, no retry). */
-    uint64_t deadlineFastFails = 0;
-
-    uint64_t hedgesIssued = 0;
-
-    /** Hedges that beat (or rescued) the primary request. */
-    uint64_t hedgeWins = 0;
-
-    /** Re-sends after a timeout or a down shard. */
-    uint64_t retries = 0;
-
-    /** Attempts abandoned at the timeout. */
-    uint64_t timeouts = 0;
-
-    /** Attempts that hit a shard in its down window. */
-    uint64_t shardDownEncounters = 0;
-
-    /** Duplicated shard compute bought by hedging (seconds). */
-    double hedgeExtraSeconds = 0.0;
-
-    /** Duplicated pooled-vector traffic bought by hedging (bytes). */
-    double hedgeExtraBytes = 0.0;
-
-    /** Time burnt in timed-out and failed attempts (seconds). */
-    double wastedSeconds = 0.0;
-
-    /** Virtual wall-clock span of the measured loop (seconds). */
-    double duration = 0.0;
-
-    /** Fraction of inferences that completed (deadline-cancelled ones
-     *  count against availability like failures). */
-    double availability() const;
-
-    /** Completed inferences per second of virtual wall-clock. */
-    double goodput() const;
-};
-
-/**
- * Outcome of a replicated run: the resilient accounting plus the
- * failover/breaker/warm-up bookkeeping of the replica layer.
- */
-struct ReplicatedShardedResult : ResilientShardedResult
-{
-    /** Requests completed by a replica other than the routed primary
-     *  (down-rescue hedges and post-error re-routes). */
-    uint64_t failovers = 0;
-
-    /** Attempts for which every replica's breaker rejected the
-     *  request. */
-    uint64_t breakerRejects = 0;
-
-    /** Breaker trips (closed/half-open -> open) across all replicas. */
-    uint64_t breakerOpens = 0;
-
-    /** Breaker recoveries (half-open -> closed) across all replicas. */
-    uint64_t breakerCloses = 0;
-
-    /** Requests admitted as half-open probes. */
-    uint64_t probesAdmitted = 0;
-
-    /** Routing decisions overridden because the primary replica's
-     *  EWMA latency exceeded the remaining deadline budget (failover
-     *  to the alternate, or abandonment when none fits). */
-    uint64_t replicaSkips = 0;
-
-    /** Extra service seconds paid to post-recovery cold replicas. */
-    double warmupPenaltySeconds = 0.0;
-
-    /** Resolved post-recovery multiplier (auto: cold/steady ratio). */
-    double warmupFactorUsed = 1.0;
-};
-
 /**
  * Configuration of one sharded closed-loop run — the single entry
  * point. The defaults describe a clean run: no faults, no hedging, no
@@ -232,12 +126,86 @@ struct RunOptions
 };
 
 /**
- * Everything one sharded run reports: the resilient and replica-layer
- * accounting plus the mean latency breakdown of completed inferences
- * (the legacy ShardedResult view).
+ * Everything one sharded run reports: the mitigation accounting
+ * (timeouts, retries, hedging, deadlines), the replica-layer
+ * failover/breaker/warm-up bookkeeping, and the mean latency breakdown
+ * of completed inferences.
  */
-struct RunResult : ReplicatedShardedResult
+struct RunResult
 {
+    /** End-to-end latency of each *completed* inference (seconds). */
+    LatencySample latency;
+
+    /** Inferences whose shards all answered (possibly after retries or
+     *  via a hedge). */
+    uint64_t completed = 0;
+
+    /** Inferences abandoned after retry exhaustion on some shard. */
+    uint64_t failed = 0;
+
+    /** Inferences cancelled because the deadline budget expired (or a
+     *  cancellation token fired) mid-fan-out — counted as
+     *  deadline-shed, never as late completions. */
+    uint64_t deadlineExpired = 0;
+
+    /** Attempts skipped outright because the remaining budget could
+     *  not cover the p50 of a fresh attempt (fail fast, no retry). */
+    uint64_t deadlineFastFails = 0;
+
+    uint64_t hedgesIssued = 0;
+
+    /** Hedges that beat (or rescued) the primary request. */
+    uint64_t hedgeWins = 0;
+
+    /** Re-sends after a timeout or a down shard. */
+    uint64_t retries = 0;
+
+    /** Attempts abandoned at the timeout. */
+    uint64_t timeouts = 0;
+
+    /** Attempts that hit a shard in its down window. */
+    uint64_t shardDownEncounters = 0;
+
+    /** Duplicated shard compute bought by hedging (seconds). */
+    double hedgeExtraSeconds = 0.0;
+
+    /** Duplicated pooled-vector traffic bought by hedging (bytes). */
+    double hedgeExtraBytes = 0.0;
+
+    /** Time burnt in timed-out and failed attempts (seconds). */
+    double wastedSeconds = 0.0;
+
+    /** Virtual wall-clock span of the measured loop (seconds). */
+    double duration = 0.0;
+
+    /** Requests completed by a replica other than the routed primary
+     *  (down-rescue hedges and post-error re-routes). */
+    uint64_t failovers = 0;
+
+    /** Attempts for which every replica's breaker rejected the
+     *  request. */
+    uint64_t breakerRejects = 0;
+
+    /** Breaker trips (closed/half-open -> open) across all replicas. */
+    uint64_t breakerOpens = 0;
+
+    /** Breaker recoveries (half-open -> closed) across all replicas. */
+    uint64_t breakerCloses = 0;
+
+    /** Requests admitted as half-open probes. */
+    uint64_t probesAdmitted = 0;
+
+    /** Routing decisions overridden because the primary replica's
+     *  EWMA latency exceeded the remaining deadline budget (failover
+     *  to the alternate, or abandonment when none fits). */
+    uint64_t replicaSkips = 0;
+
+    /** Extra service seconds paid to post-recovery cold replicas. */
+    double warmupPenaltySeconds = 0.0;
+
+    /** Resolved post-recovery multiplier (auto: cold/steady ratio). */
+    double warmupFactorUsed = 1.0;
+
     /** Mean completed-inference latency (slowest + network + agg). */
     double totalSeconds = 0.0;
 
@@ -256,12 +224,12 @@ struct RunResult : ReplicatedShardedResult
     /** SDC defense accounting; active only when a controller ran. */
     SdcStats sdc;
 
-    /** Slice down to the legacy per-inference breakdown. */
-    ShardedResult breakdown() const
-    {
-        return {totalSeconds, slowestShardSeconds, networkSeconds,
-                aggregatorSeconds, networkBytes};
-    }
+    /** Fraction of inferences that completed (deadline-cancelled ones
+     *  count against availability like failures). */
+    double availability() const;
+
+    /** Completed inferences per second of virtual wall-clock. */
+    double goodput() const;
 
     /**
      * Export counters/latencies into @p registry under the `sharded.`
@@ -311,9 +279,7 @@ class ShardedInference
      * shard's own timing model. `options.chaos` layers scripted fault
      * windows (kills, rack failures, straggler storms) on top.
      *
-     * Fully deterministic for fixed seeds; with the default options
-     * (no faults, no hedge, no replica layer) the result's breakdown()
-     * is bit-identical to the legacy plain run.
+     * Fully deterministic for fixed seeds.
      */
     RunResult run(const RunOptions &options);
 
@@ -381,7 +347,7 @@ class ShardedInference
                               double base_seconds, double now,
                               const DeadlineCtx &ctx,
                               const SdcController *sdc,
-                              ResilientShardedResult *result);
+                              RunResult *result);
 
     ShardOutcome resolveReplicated(FaultInjector &injector,
                                    ReplicaSet &set,
@@ -392,7 +358,7 @@ class ShardedInference
                                    const ChaosSchedule *chaos,
                                    const DeadlineCtx &ctx,
                                    const SdcController *sdc,
-                                   ReplicatedShardedResult *result);
+                                   RunResult *result);
 
     /** Pooled-vector bytes one shard ships per inference. */
     double shardNetworkBytes(uint32_t shard) const;

@@ -66,7 +66,7 @@ replicasOf(uint32_t count, uint64_t seed = 2020)
     return r;
 }
 
-ReplicatedShardedResult
+RunResult
 runChaos(uint32_t replicas, const FaultOptions &faults,
          const ChaosSchedule *chaos, int iters = kIters,
          bool hedge_on = true)
@@ -174,7 +174,7 @@ TEST(ChaosRun, AccountingInvariantUnderRandomSchedules)
             ChaosSchedule::random(seed, kNodes, 2, /*horizon=*/50e-3,
                                   /*events=*/10, /*mean_dur=*/2e-3);
         FaultOptions faults = renewalFaults(10e-3, 1e-3, seed);
-        ReplicatedShardedResult r = runChaos(2, faults, &chaos);
+        RunResult r = runChaos(2, faults, &chaos);
         EXPECT_EQ(r.completed + r.failed, static_cast<uint64_t>(kIters))
             << "seed " << seed;
         EXPECT_EQ(r.latency.count(), r.completed) << "seed " << seed;
@@ -202,7 +202,7 @@ TEST(ChaosRun, NoHangWithZeroTimeout)
     options.hedge = hedge;
     options.replicas = replicasOf(2);
     options.chaos = &chaos;
-    ReplicatedShardedResult r = sim.run(options);
+    RunResult r = sim.run(options);
     EXPECT_EQ(r.completed + r.failed, static_cast<uint64_t>(kIters));
 }
 
@@ -211,7 +211,7 @@ TEST(ChaosRun, RackKillOfPrimariesIsAbsorbedByReplication)
     // Replica rank 0 (every shard's primary) is down for the whole
     // run. With R = 2 the rank-1 replicas carry all traffic.
     ChaosSchedule chaos = permanentRackKill(0);
-    ReplicatedShardedResult r = runChaos(2, FaultOptions{}, &chaos);
+    RunResult r = runChaos(2, FaultOptions{}, &chaos);
     EXPECT_EQ(r.completed, static_cast<uint64_t>(kIters));
     EXPECT_EQ(r.failed, 0u);
     EXPECT_GT(r.failovers, 0u);
@@ -223,7 +223,7 @@ TEST(ChaosRun, SingleCopyDiesUnderTheSameRackKill)
     // The same schedule with R = 1 has no second-best replica to fail
     // over to: every inference fails, none hang.
     ChaosSchedule chaos = permanentRackKill(0);
-    ReplicatedShardedResult r = runChaos(1, FaultOptions{}, &chaos);
+    RunResult r = runChaos(1, FaultOptions{}, &chaos);
     EXPECT_EQ(r.completed, 0u);
     EXPECT_EQ(r.failed, static_cast<uint64_t>(kIters));
     EXPECT_EQ(r.failovers, 0u);
@@ -235,10 +235,8 @@ TEST(ChaosRun, ReplicationRescuesRenewalFailures)
     // single-copy run demonstrably loses inferences): adding a replica
     // per shard restores three-nines availability.
     FaultOptions faults = renewalFaults(5e-3, 1e-3, 12);
-    ReplicatedShardedResult r1 =
-        runChaos(1, faults, nullptr, /*iters=*/400);
-    ReplicatedShardedResult r2 =
-        runChaos(2, faults, nullptr, /*iters=*/400);
+    RunResult r1 = runChaos(1, faults, nullptr, /*iters=*/400);
+    RunResult r2 = runChaos(2, faults, nullptr, /*iters=*/400);
     EXPECT_LT(r1.availability(), 0.999);
     EXPECT_GE(r2.availability(), 0.999);
     EXPECT_GT(r2.availability(), r1.availability());
@@ -258,7 +256,7 @@ TEST(ChaosRun, BreakersOpenAndRecloseAcrossAKillWindow)
     kill.replica = 0;
     chaos.add(kill);
 
-    ReplicatedShardedResult r = runChaos(2, FaultOptions{}, &chaos);
+    RunResult r = runChaos(2, FaultOptions{}, &chaos);
     EXPECT_EQ(r.completed, static_cast<uint64_t>(kIters));
     EXPECT_GT(r.breakerOpens, 0u);
     EXPECT_GT(r.breakerCloses, 0u);
@@ -279,12 +277,12 @@ TEST(ChaosRun, RecoveredReplicaPaysWarmupPenalty)
     kill.replica = 0;
     chaos.add(kill);
 
-    ReplicatedShardedResult r = runChaos(2, FaultOptions{}, &chaos);
+    RunResult r = runChaos(2, FaultOptions{}, &chaos);
     EXPECT_GT(r.warmupFactorUsed, 1.0);
     EXPECT_GT(r.warmupPenaltySeconds, 0.0);
 
     // A fault-free run books no warm-up penalty at all.
-    ReplicatedShardedResult clean = runChaos(2, FaultOptions{}, nullptr);
+    RunResult clean = runChaos(2, FaultOptions{}, nullptr);
     EXPECT_DOUBLE_EQ(clean.warmupPenaltySeconds, 0.0);
 }
 
@@ -298,15 +296,14 @@ TEST(ChaosRun, StragglerStormInflatesLatency)
     e.factor = 5.0;
     storm.add(e);
 
-    ReplicatedShardedResult calm = runChaos(2, FaultOptions{}, nullptr);
-    ReplicatedShardedResult stormy = runChaos(2, FaultOptions{}, &storm);
+    RunResult calm = runChaos(2, FaultOptions{}, nullptr);
+    RunResult stormy = runChaos(2, FaultOptions{}, &storm);
     EXPECT_EQ(stormy.completed, static_cast<uint64_t>(kIters));
     EXPECT_GT(stormy.latency.p(50), 2.0 * calm.latency.p(50));
 }
 
 void
-expectBitwiseEqual(const ReplicatedShardedResult &a,
-                   const ReplicatedShardedResult &b)
+expectBitwiseEqual(const RunResult &a, const RunResult &b)
 {
     EXPECT_EQ(a.completed, b.completed);
     EXPECT_EQ(a.failed, b.failed);
@@ -329,8 +326,8 @@ TEST(ChaosDeterminism, IdenticalRunsAreBitwiseEqual)
     ChaosSchedule chaos =
         ChaosSchedule::random(3, kNodes, 2, 50e-3, 10, 2e-3);
     FaultOptions faults = renewalFaults(10e-3, 1e-3, 3);
-    ReplicatedShardedResult a = runChaos(2, faults, &chaos);
-    ReplicatedShardedResult b = runChaos(2, faults, &chaos);
+    RunResult a = runChaos(2, faults, &chaos);
+    RunResult b = runChaos(2, faults, &chaos);
     expectBitwiseEqual(a, b);
 }
 
@@ -346,9 +343,9 @@ TEST(ChaosDeterminism, ThreadCountDoesNotPerturbResults)
 
     int original = globalThreadCount();
     setGlobalThreadCount(1);
-    ReplicatedShardedResult one = runChaos(2, faults, &chaos);
+    RunResult one = runChaos(2, faults, &chaos);
     setGlobalThreadCount(4);
-    ReplicatedShardedResult four = runChaos(2, faults, &chaos);
+    RunResult four = runChaos(2, faults, &chaos);
     setGlobalThreadCount(original);
 
     expectBitwiseEqual(one, four);
@@ -375,10 +372,10 @@ TEST(ChaosDeterminism, ResilientPathMatchesAcrossThreadCounts)
     int original = globalThreadCount();
     setGlobalThreadCount(1);
     ShardedInference sim_one = makeSim();
-    ResilientShardedResult one = sim_one.run(options);
+    RunResult one = sim_one.run(options);
     setGlobalThreadCount(4);
     ShardedInference sim_four = makeSim();
-    ResilientShardedResult four = sim_four.run(options);
+    RunResult four = sim_four.run(options);
     setGlobalThreadCount(original);
 
     EXPECT_EQ(one.completed, four.completed);

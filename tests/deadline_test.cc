@@ -253,7 +253,7 @@ TEST(ShardedDeadline, AccountingClosesUnderBudget)
     opts.faults.stragglerProb = 0.2;
     opts.faults.seed = 11;
     opts.retry.timeoutSeconds = 3e-3;
-    ResilientShardedResult r = sim.run(opts);
+    RunResult r = sim.run(opts);
     EXPECT_EQ(r.completed + r.failed + r.deadlineExpired, 200u);
     // Nothing completes past its budget: availability only counts
     // in-budget answers.
@@ -271,7 +271,7 @@ TEST(ShardedDeadline, HopelessBudgetFailsFastEveryInference)
                          topts);
     RunOptions opts = shardOptions(50);
     opts.deadlineSeconds = 1e-9;
-    ResilientShardedResult r = sim.run(opts);
+    RunResult r = sim.run(opts);
     EXPECT_EQ(r.deadlineExpired, 50u);
     EXPECT_EQ(r.completed, 0u);
     EXPECT_GT(r.deadlineFastFails, 0u);
@@ -288,7 +288,7 @@ TEST(ShardedDeadline, ExternalTokenCancelsRemainingInferences)
     CancelToken token;
     token.cancelAfterChecks(60); // mid-run, mid-fan-out
     opts.cancel = &token;
-    ResilientShardedResult r = sim.run(opts);
+    RunResult r = sim.run(opts);
     EXPECT_TRUE(token.cancelled());
     EXPECT_EQ(r.completed + r.failed + r.deadlineExpired, 100u);
     EXPECT_GT(r.deadlineExpired, 0u);
@@ -306,13 +306,13 @@ TEST(ShardedDeadline, DisabledBudgetMatchesLegacyRun)
 
     ShardedInference legacy(broadwell(), rmc1Small(), 2,
                             NetworkConfig{}, topts);
-    ResilientShardedResult a = legacy.run(opts);
+    RunResult a = legacy.run(opts);
 
     RunOptions off = opts;
     off.deadlineSeconds = 0.0;
     ShardedInference with(broadwell(), rmc1Small(), 2, NetworkConfig{},
                           topts);
-    ResilientShardedResult b = with.run(off);
+    RunResult b = with.run(off);
 
     EXPECT_EQ(a.completed, b.completed);
     EXPECT_EQ(a.failed, b.failed);
@@ -340,14 +340,14 @@ TEST(ShardedDeadline, ReplicaRoutingSkipsOverBudgetCopies)
     ropts.replicas = 2;
     opts.replicas = ropts;
     opts.deadlineSeconds = 1.2e-3;
-    ReplicatedShardedResult r = sim.run(opts);
+    RunResult r = sim.run(opts);
     EXPECT_EQ(r.completed + r.failed + r.deadlineExpired, 300u);
 
     RunOptions off = opts;
     off.deadlineSeconds = 0.0;
     ShardedInference base(broadwell(), rmc1Small(), 2, NetworkConfig{},
                           topts);
-    ReplicatedShardedResult b = base.run(off);
+    RunResult b = base.run(off);
     EXPECT_EQ(b.replicaSkips, 0u);
     EXPECT_EQ(b.deadlineExpired, 0u);
 }
@@ -365,11 +365,11 @@ TEST(ShardedDeadline, DeterministicAcrossThreadCounts)
     setGlobalThreadCount(1);
     ShardedInference one(broadwell(), rmc1Small(), 2, NetworkConfig{},
                          topts);
-    ResilientShardedResult a = one.run(opts);
+    RunResult a = one.run(opts);
     setGlobalThreadCount(4);
     ShardedInference four(broadwell(), rmc1Small(), 2, NetworkConfig{},
                           topts);
-    ResilientShardedResult b = four.run(opts);
+    RunResult b = four.run(opts);
     setGlobalThreadCount(original);
 
     EXPECT_EQ(a.completed, b.completed);

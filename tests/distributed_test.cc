@@ -13,20 +13,19 @@
 namespace recperf {
 namespace {
 
-ShardedResult
+RunResult
 shard(uint32_t nodes, int64_t batch = 16)
 {
     TimerOptions opts;
     opts.batch = batch;
     ShardedInference sim(broadwell(), rmc2Small(), nodes, NetworkConfig{},
                          opts);
-    return sim.run(RunOptions{.warmupIters = 8, .measureIters = 6})
-        .breakdown();
+    return sim.run(RunOptions{.warmupIters = 8, .measureIters = 6});
 }
 
 TEST(Sharded, SingleNodeHasNoNetworkCost)
 {
-    ShardedResult r = shard(1);
+    RunResult r = shard(1);
     EXPECT_EQ(r.networkSeconds, 0.0);
     EXPECT_EQ(r.networkBytes, 0.0);
     EXPECT_GT(r.slowestShardSeconds, 0.0);
@@ -48,8 +47,8 @@ TEST(Sharded, RejectsMoreNodesThanTables)
 
 TEST(Sharded, ShardingCutsSlsTime)
 {
-    ShardedResult one = shard(1);
-    ShardedResult eight = shard(8);
+    RunResult one = shard(1);
+    RunResult eight = shard(8);
     // Each node holds 4 of 32 tables: the parallel SLS phase shrinks
     // several-fold (also helped by better per-node cache residency).
     EXPECT_LT(eight.slowestShardSeconds,
@@ -58,8 +57,8 @@ TEST(Sharded, ShardingCutsSlsTime)
 
 TEST(Sharded, NetworkCostScalesWithBatchAndTables)
 {
-    ShardedResult small = shard(4, 4);
-    ShardedResult big = shard(4, 64);
+    RunResult small = shard(4, 4);
+    RunResult big = shard(4, 64);
     EXPECT_NEAR(big.networkBytes / small.networkBytes, 16.0, 1e-9);
     EXPECT_GT(big.networkSeconds, small.networkSeconds);
 }
@@ -68,16 +67,16 @@ TEST(Sharded, TotalLatencyImprovesForMemoryBoundModel)
 {
     // RMC2 is SLS-dominated, so spreading the gathers wins even after
     // paying the network.
-    ShardedResult one = shard(1);
-    ShardedResult four = shard(4);
+    RunResult one = shard(1);
+    RunResult four = shard(4);
     EXPECT_LT(four.totalSeconds, one.totalSeconds);
 }
 
 TEST(Sharded, DiminishingReturns)
 {
     // The aggregator + network floor limits scale-out.
-    ShardedResult n4 = shard(4);
-    ShardedResult n16 = shard(16);
+    RunResult n4 = shard(4);
+    RunResult n16 = shard(16);
     double gain_4_to_16 = n4.totalSeconds / n16.totalSeconds;
     double gain_1_to_4 = shard(1).totalSeconds / n4.totalSeconds;
     EXPECT_LT(gain_4_to_16, gain_1_to_4);
@@ -89,9 +88,7 @@ TEST(Sharded, NumNodesReported)
     opts.batch = 4;
     ShardedInference sim(skylake(), rmc2Small(), 7, NetworkConfig{}, opts);
     EXPECT_EQ(sim.numNodes(), 7u);
-    ShardedResult r =
-        sim.run(RunOptions{.warmupIters = 3, .measureIters = 3})
-            .breakdown();
+    RunResult r = sim.run(RunOptions{.warmupIters = 3, .measureIters = 3});
     EXPECT_GT(r.totalSeconds, 0.0);
 }
 

@@ -10,7 +10,6 @@
 #include "core/rng.hh"
 #include "machine/machine_spec.hh"
 #include "machine/simd.hh"
-#include "model/ncf.hh"
 #include "model/rec_model.hh"
 #include "model/zoo.hh"
 #include "ops/kernel_cache.hh"

@@ -122,9 +122,7 @@ TEST(MixedTables, ShardingSpreadsMixedSizes)
     opts.batch = 4;
     ShardedInference sim(broadwell(), rmc2Mixed(), 4, NetworkConfig{},
                          opts);
-    ShardedResult r =
-        sim.run(RunOptions{.warmupIters = 3, .measureIters = 3})
-            .breakdown();
+    RunResult r = sim.run(RunOptions{.warmupIters = 3, .measureIters = 3});
     EXPECT_GT(r.totalSeconds, 0.0);
     EXPECT_GT(r.networkBytes, 0.0);
 }

@@ -2,7 +2,7 @@
  * @file
  * Parallel-vs-serial bitwise-equality tests: every parallelized kernel
  * (FC GEMM, SparseLengthsSum, quantized SLS, BatchMatMul, dot
- * interaction, Conv2d, LSTM, full RecModel forward) must produce
+ * interaction, full RecModel forward) must produce
  * outputs bitwise-identical to its 1-thread execution at every thread
  * count — the execution engine's determinism contract.
  */
@@ -17,9 +17,7 @@
 #include "model/rec_model.hh"
 #include "model/zoo.hh"
 #include "ops/batch_matmul.hh"
-#include "ops/conv.hh"
 #include "ops/fully_connected.hh"
-#include "ops/lstm.hh"
 #include "ops/quantized_embedding.hh"
 #include "ops/sparse_lengths_sum.hh"
 #include "tensor/tensor.hh"
@@ -167,33 +165,6 @@ TEST_F(ParallelOpsTest, DotInteractionBitwise)
     Tensor features({67, 9, 32});
     features.fillUniform(rng, -1.0f, 1.0f);
     expectThreadInvariant([&] { return dotInteraction(features); });
-}
-
-TEST_F(ParallelOpsTest, Conv2dBitwise)
-{
-    Rng rng(17);
-    Conv2d conv(3, 8, 3, /*stride=*/1, /*padding=*/1, rng);
-    Tensor x({2, 3, 9, 9});
-    x.fillUniform(rng, -1.0f, 1.0f);
-    expectThreadInvariant([&] { return conv.forward(x); });
-}
-
-TEST_F(ParallelOpsTest, LstmSequenceBitwise)
-{
-    Rng rng(18);
-    LstmCell cell(24, 40, rng);
-    Tensor xs({6, 33, 24});
-    xs.fillUniform(rng, -1.0f, 1.0f);
-    expectThreadInvariant([&] {
-        LstmState s = cell.forwardSequence(xs, cell.initialState(33));
-        // Fold h and c into one tensor for the comparison.
-        Tensor both({2, 33, 40});
-        std::memcpy(both.data(), s.h.data(),
-                    static_cast<size_t>(s.h.size()) * sizeof(float));
-        std::memcpy(both.data() + s.h.size(), s.c.data(),
-                    static_cast<size_t>(s.c.size()) * sizeof(float));
-        return both;
-    });
 }
 
 TEST_F(ParallelOpsTest, RecModelForwardBitwise)

@@ -41,7 +41,7 @@ deadShardFaults()
     return f;
 }
 
-ResilientShardedResult
+RunResult
 runSharded(const FaultOptions &faults, const RetryPolicy &retry,
            const HedgePolicy &hedge, int measure = 120)
 {
@@ -152,8 +152,8 @@ TEST(Resilient, DeterministicFromSeed)
     HedgePolicy hedge;
     hedge.enabled = true;
 
-    ResilientShardedResult a = runSharded(f, retry, hedge, 60);
-    ResilientShardedResult b = runSharded(f, retry, hedge, 60);
+    RunResult a = runSharded(f, retry, hedge, 60);
+    RunResult b = runSharded(f, retry, hedge, 60);
     EXPECT_EQ(a.completed, b.completed);
     EXPECT_EQ(a.failed, b.failed);
     EXPECT_EQ(a.hedgesIssued, b.hedgesIssued);
@@ -166,8 +166,7 @@ TEST(Resilient, DeterministicFromSeed)
 
 TEST(Resilient, CleanRunCompletesEverything)
 {
-    ResilientShardedResult r =
-        runSharded(FaultOptions{}, RetryPolicy{}, HedgePolicy{}, 40);
+    RunResult r = runSharded(FaultOptions{}, RetryPolicy{}, HedgePolicy{}, 40);
     EXPECT_EQ(r.completed, 40u);
     EXPECT_EQ(r.failed, 0u);
     EXPECT_EQ(r.hedgesIssued, 0u);
@@ -185,8 +184,8 @@ TEST(Resilient, HedgingImprovesTailUnderStragglers)
     HedgePolicy on;
     on.enabled = true; // auto p95 delay
 
-    ResilientShardedResult r_off = runSharded(f, retry, off);
-    ResilientShardedResult r_on = runSharded(f, retry, on);
+    RunResult r_off = runSharded(f, retry, off);
+    RunResult r_on = runSharded(f, retry, on);
     ASSERT_EQ(r_off.completed, r_on.completed);
     EXPECT_GT(r_on.hedgesIssued, 0u);
     EXPECT_GT(r_on.hedgeWins, 0u);
@@ -200,8 +199,7 @@ TEST(Resilient, RetryExhaustionFailsInsteadOfHanging)
 {
     RetryPolicy retry;
     retry.maxRetries = 2;
-    ResilientShardedResult r =
-        runSharded(deadShardFaults(), retry, HedgePolicy{}, 50);
+    RunResult r = runSharded(deadShardFaults(), retry, HedgePolicy{}, 50);
     // The shards die within nanoseconds of t=0, so only the very first
     // inference (issued exactly at t=0) completes; every later one
     // fail-fasts, retries, and exhausts on all four dead shards.
@@ -222,8 +220,7 @@ TEST(Resilient, HedgeRescuesDownShard)
     retry.maxRetries = 1;
     HedgePolicy hedge;
     hedge.enabled = true;
-    ResilientShardedResult r =
-        runSharded(deadShardFaults(), retry, hedge, 50);
+    RunResult r = runSharded(deadShardFaults(), retry, hedge, 50);
     EXPECT_EQ(r.completed, 50u);
     EXPECT_EQ(r.failed, 0u);
     EXPECT_GT(r.hedgeWins, 0u);
@@ -239,7 +236,7 @@ TEST(Resilient, TimeoutsAreCountedAndRetried)
     RetryPolicy retry;
     retry.timeoutSeconds = 20e-6; // far below 8x the base SLS time
     retry.maxRetries = 1;
-    ResilientShardedResult r = runSharded(f, retry, HedgePolicy{}, 30);
+    RunResult r = runSharded(f, retry, HedgePolicy{}, 30);
     EXPECT_EQ(r.completed, 0u);
     EXPECT_EQ(r.failed, 30u);
     EXPECT_GT(r.timeouts, 0u);
@@ -259,7 +256,7 @@ TEST(ServingStats, ZeroItemRunsAreSafe)
     EXPECT_EQ(empty.itemLatency.p(99), 0.0);
     EXPECT_EQ(empty.itemLatency.mean(), 0.0);
 
-    ResilientShardedResult r;
+    RunResult r;
     EXPECT_EQ(r.availability(), 0.0);
     EXPECT_EQ(r.goodput(), 0.0);
 }

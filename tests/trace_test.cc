@@ -6,13 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
-#include <string>
 
 #include "core/logging.hh"
 #include "trace/id_generator.hh"
-#include "trace/trace_file.hh"
 
 namespace recperf {
 namespace {
@@ -182,20 +179,6 @@ TEST(TraceProfiles, SpanFig14Range)
     EXPECT_LT(fractions.back(), 0.12);
     for (size_t i = 1; i < fractions.size(); ++i)
         EXPECT_LT(fractions[i], fractions[i - 1] + 0.05) << "profile " << i;
-}
-
-TEST(TraceFile, SaveLoadRoundTrip)
-{
-    std::string path = ::testing::TempDir() + "/trace_roundtrip.txt";
-    std::vector<int64_t> ids = {0, 5, 123456789, 42, 5};
-    saveTrace(path, ids);
-    EXPECT_EQ(loadTrace(path), ids);
-    std::remove(path.c_str());
-}
-
-TEST(TraceFile, LoadMissingFileFails)
-{
-    EXPECT_THROW(loadTrace("/nonexistent/dir/trace.txt"), FatalError);
 }
 
 TEST(TraceReplay, CyclesThroughTrace)

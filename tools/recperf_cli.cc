@@ -131,6 +131,7 @@ cmdTime(ArgParser &args)
     opts.batch = args.optionInt("batch");
     opts.zipfAlpha = args.optionDouble("zipf");
     opts.repeatProb = args.optionDouble("repeat");
+    opts.seed = static_cast<uint64_t>(args.optionInt("seed"));
     opts.backend = activeBackendConfig();
 
     ModelTimer timer(machine, cfg, opts);
@@ -181,6 +182,7 @@ cmdColocate(ArgParser &args)
         static_cast<uint32_t>(args.optionInt("max-tenants"));
     TimerOptions opts;
     opts.batch = args.optionInt("batch");
+    opts.seed = static_cast<uint64_t>(args.optionInt("seed"));
     opts.backend = activeBackendConfig();
 
     std::printf("co-locating %s on %s (batch %lld):\n", cfg.name.c_str(),
@@ -309,24 +311,53 @@ brownoutFromArgs(ArgParser &args)
     return b;
 }
 
+/** Lower bound on one numeric flag. */
+struct FlagBound
+{
+    const char *flag;
+    double minimum;
+    bool exclusive; ///< the value must exceed @c minimum, not just reach it
+};
+
 /**
- * Rejects nonsensical serve/shard configurations (negative rates,
- * impossible retry/hedge combinations, bad replica counts) with a
- * clear message; the caller exits with code 2.
+ * Every command checks every bound before dispatch, so an out-of-range
+ * value exits 2 with a message instead of tripping an invariant inside
+ * a model or generator. All defaults satisfy them.
+ */
+constexpr FlagBound kFlagBounds[] = {
+    {"batch", 1, false},         {"iters", 1, false},
+    {"items", 1, false},         {"workers", 1, false},
+    {"nodes", 1, false},         {"rows", 1, false},
+    {"rows-cap", 1, false},      {"cluster-replicas", 1, false},
+    {"degrade-batch", 0, false}, {"chaos-events", 0, false},
+    {"zipf", 0, true},           {"rate", 0, true},
+    {"sla-ms", 0, true},
+};
+
+/** First violated entry of kFlagBounds as a message, or "". */
+std::string
+checkFlagBounds(ArgParser &args)
+{
+    for (const FlagBound &bound : kFlagBounds) {
+        double value = args.optionDouble(bound.flag);
+        if (bound.exclusive ? value > bound.minimum
+                            : value >= bound.minimum)
+            continue;
+        return strprintf("--%s must be %s %g (got %s)", bound.flag,
+                         bound.exclusive ? ">" : ">=", bound.minimum,
+                         args.option(bound.flag).c_str());
+    }
+    return "";
+}
+
+/**
+ * Rejects nonsensical serve/shard configurations (impossible
+ * retry/hedge combinations, bad replica counts, knobs the command
+ * ignores) with a clear message; the caller exits with code 2.
  */
 std::string
 validateServingArgs(ArgParser &args, const std::string &command)
 {
-    if (args.optionInt("items") < 1)
-        return strprintf("--items must be >= 1 (got %lld)",
-                         static_cast<long long>(args.optionInt("items")));
-    if (args.optionInt("iters") < 1)
-        return strprintf("--iters must be >= 1 (got %lld)",
-                         static_cast<long long>(args.optionInt("iters")));
-    if (args.optionInt("batch") < 1)
-        return strprintf("--batch must be >= 1 (got %lld)",
-                         static_cast<long long>(args.optionInt("batch")));
-
     std::string err = faultsFromArgs(args).validate();
     if (!err.empty())
         return err;
@@ -350,17 +381,6 @@ validateServingArgs(ArgParser &args, const std::string &command)
         return err;
 
     if (command == "serve") {
-        if (args.optionDouble("rate") <= 0.0)
-            return strprintf("--rate must be a positive arrival rate "
-                             "(got %g items/s)",
-                             args.optionDouble("rate"));
-        if (args.optionDouble("sla-ms") <= 0.0)
-            return strprintf("--sla-ms must be positive (got %g)",
-                             args.optionDouble("sla-ms"));
-        if (args.optionInt("workers") < 1)
-            return strprintf("--workers must be >= 1 (got %lld)",
-                             static_cast<long long>(
-                                 args.optionInt("workers")));
         AdmissionOptions admission;
         admission.enabled = args.flag("admission");
         admission.maxWaitFraction = args.optionDouble("admit-wait");
@@ -371,11 +391,6 @@ validateServingArgs(ArgParser &args, const std::string &command)
         degrade.degradedMaxBatch = args.optionInt("degrade-batch");
         degrade.backlogFactor = args.optionDouble("backlog-factor");
         degrade.lowPriorityFraction = args.optionDouble("low-priority");
-        if (args.optionInt("degrade-batch") < 0)
-            return strprintf("--degrade-batch cannot be negative "
-                             "(got %lld)",
-                             static_cast<long long>(
-                                 args.optionInt("degrade-batch")));
         if (!(err = validateDegradeOptions(degrade)).empty())
             return err;
         BrownoutOptions brownout = brownoutFromArgs(args);
@@ -416,10 +431,6 @@ validateServingArgs(ArgParser &args, const std::string &command)
                    "bit flips against real tables)";
         int64_t cluster = args.optionInt("cluster-replicas");
         int64_t healthy = args.optionInt("healthy-replicas");
-        if (cluster < 1)
-            return strprintf("--cluster-replicas must be >= 1 "
-                             "(got %lld)",
-                             static_cast<long long>(cluster));
         if (healthy < 0 || healthy > cluster)
             return strprintf("--healthy-replicas must be in [0, "
                              "--cluster-replicas=%lld] (got %lld; 0 "
@@ -432,10 +443,6 @@ validateServingArgs(ArgParser &args, const std::string &command)
         if (args.flag("brownout"))
             return "--brownout applies to serve only (shard degrades "
                    "via --deadline-ms, retries, and hedges)";
-        if (args.optionInt("nodes") < 1)
-            return strprintf("--nodes must be >= 1 (got %lld)",
-                             static_cast<long long>(
-                                 args.optionInt("nodes")));
         RetryPolicy retry = retryFromArgs(args);
         if (!(err = validateRetryPolicy(retry)).empty())
             return err;
@@ -457,11 +464,6 @@ validateServingArgs(ArgParser &args, const std::string &command)
             return replica_err;
         if (!(err = replicas.validate()).empty())
             return err;
-        if (args.optionInt("chaos-events") < 0)
-            return strprintf("--chaos-events cannot be negative "
-                             "(got %lld)",
-                             static_cast<long long>(
-                                 args.optionInt("chaos-events")));
         if (args.optionDouble("chaos-ms") <= 0.0 &&
             args.optionInt("chaos-events") > 0) {
             return strprintf("--chaos-ms must be positive when chaos "
@@ -632,6 +634,7 @@ cmdServe(ArgParser &args)
     sopts.faults = faults;
 
     TimerOptions topts;
+    topts.seed = static_cast<uint64_t>(args.optionInt("seed"));
     topts.backend = activeBackendConfig();
     Server server(machine, cfg, topts, sopts);
     ServingStats stats = server.runOpenLoop(
@@ -668,7 +671,7 @@ cmdServe(ArgParser &args)
 }
 
 void
-printResilientResult(const ResilientShardedResult &r)
+printResilientResult(const RunResult &r)
 {
     std::printf("  completed:     %10llu inferences (%.2f%% "
                 "availability)\n",
@@ -754,6 +757,7 @@ cmdShard(ArgParser &args)
     MachineSpec machine = machineByName(args.option("machine"));
     TimerOptions topts;
     topts.batch = args.optionInt("batch");
+    topts.seed = static_cast<uint64_t>(args.optionInt("seed"));
     topts.backend = activeBackendConfig();
     auto nodes = static_cast<uint32_t>(args.optionInt("nodes"));
     int iters = static_cast<int>(args.optionInt("iters"));
@@ -1439,13 +1443,15 @@ main(int argc, char **argv)
     }
 
     try {
-        if (command == "serve" || command == "shard") {
-            std::string invalid = validateServingArgs(args, command);
-            if (!invalid.empty()) {
-                std::fprintf(stderr, "error: %s\n", invalid.c_str());
-                return 2;
-            }
-        } else {
+        bool serving = command == "serve" || command == "shard";
+        std::string invalid = checkFlagBounds(args);
+        if (invalid.empty() && serving)
+            invalid = validateServingArgs(args, command);
+        if (!invalid.empty()) {
+            std::fprintf(stderr, "error: %s\n", invalid.c_str());
+            return 2;
+        }
+        if (!serving) {
             // The request log records the serving lanes only; on any
             // other command the knobs would silently do nothing.
             static const char *const kRlogKnobs[] = {
