@@ -17,6 +17,12 @@ metric and classified by name:
 
 Unclassified metrics are reported only under --verbose and never gate.
 
+Envelopes stamped with a different backend, ISA policy or host core
+count are drift, not a regression: they fail unless
+--allow-config-drift demotes them to warnings. --virtual-time drops
+the core count from that check for benches that run on the simulated
+clock, whose results do not depend on the host.
+
 Exit codes: 0 ok, 1 regression (or envelope mismatch), 2 usage/IO
 error. --warn-only reports regressions but always exits 0, for pure
 wall-clock benches whose own internal asserts are the hard gate.
@@ -44,9 +50,10 @@ IDENTITY_INTS = ("threads", "replicas", "nodes", "batch", "m", "n", "k",
                  "pooling", "ranks")
 
 # Machine-stamp fields that invalidate a comparison when they differ:
-# an nmp-backend candidate against a cpu-backend baseline is a config
-# change, not a perf regression.
-MACHINE_IDENTITY = ("backend", "isa")
+# an nmp-backend candidate against a cpu-backend baseline, or a 4-core
+# wall-clock run against a 1-core one, is a config change, not a perf
+# regression.
+MACHINE_IDENTITY = ("backend", "isa", "host_cores")
 
 
 def load_envelope(path):
@@ -109,23 +116,26 @@ def compare(base, cand, opts):
                             "anyway)")
             return failures, warnings, infos
 
-    # Cross-backend (or cross-ISA) envelopes measure different engines;
-    # gating one against the other would misreport the backend delta as
-    # a regression. Envelopes written before the stamp existed lack the
-    # fields — warn and compare anyway so old baselines keep working.
+    # Cross-backend, cross-ISA or cross-core-count envelopes measure
+    # different engines or hosts; gating one against the other would
+    # misreport the difference as a regression. Envelopes written before
+    # a stamp existed lack the field — warn and compare anyway so old
+    # baselines keep working.
     base_machine = base.get("machine") or {}
     cand_machine = cand.get("machine") or {}
     for field in MACHINE_IDENTITY:
+        if field == "host_cores" and opts.virtual_time:
+            continue
         bv, cv = base_machine.get(field), cand_machine.get(field)
         if bv is None or cv is None:
             if bv != cv:
                 side = "baseline" if bv is None else "candidate"
                 warnings.append(f"machine {field} missing from {side}; "
-                                "cannot check backend drift")
+                                f"cannot check {field} drift")
             continue
         if bv != cv:
             msg = (f"machine {field} drift: baseline '{bv}' vs candidate "
-                   f"'{cv}' (cross-backend comparison, not a regression)")
+                   f"'{cv}' (different engine or host, not a regression)")
             if opts.allow_config_drift:
                 warnings.append(msg)
             else:
@@ -206,7 +216,8 @@ def self_test(opts):
     }
     ns = argparse.Namespace(threshold=0.10, exact=False,
                             throughput_warn_only=False,
-                            allow_config_drift=False, verbose=False)
+                            allow_config_drift=False, virtual_time=False,
+                            verbose=False)
 
     identical = json.loads(json.dumps(base))
     f, w, _ = compare(base, identical, ns)
@@ -265,6 +276,25 @@ def self_test(opts):
     assert not f and any("machine backend drift" in m for m in w), \
         "--allow-config-drift should demote backend drift to a warning"
 
+    # A wall-clock envelope from another core count is drift too; a
+    # virtual-time bench does not depend on the host, so --virtual-time
+    # skips that one field.
+    cores = json.loads(json.dumps(base))
+    cores["machine"]["host_cores"] = 4
+    f, _, _ = compare(base, cores, ns)
+    assert any("machine host_cores drift" in m for m in f), \
+        f"core-count mismatch not flagged: {f}"
+    f, w, _ = compare(base, cores,
+                      argparse.Namespace(**{**vars(ns),
+                                            "allow_config_drift": True}))
+    assert not f and any("machine host_cores drift" in m for m in w), \
+        "--allow-config-drift should demote core-count drift to a warning"
+    f, w, _ = compare(base, cores,
+                      argparse.Namespace(**{**vars(ns),
+                                            "virtual_time": True}))
+    assert not f and not w, \
+        f"--virtual-time must ignore the core count: {f + w}"
+
     # Envelopes written before the backend stamp existed only warn.
     legacy = json.loads(json.dumps(base))
     del legacy["machine"]["backend"]
@@ -293,6 +323,9 @@ def main():
                          "(noisy shared runners)")
     ap.add_argument("--allow-config-drift", action="store_true",
                     help="warn instead of fail when config blocks differ")
+    ap.add_argument("--virtual-time", action="store_true",
+                    help="the bench runs on the simulated clock: do not "
+                         "treat a host core-count mismatch as drift")
     ap.add_argument("--warn-only", action="store_true",
                     help="report every regression but always exit 0 "
                          "(pure wall-clock benches on shared runners, "

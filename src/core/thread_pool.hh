@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared worker pool and the parallelFor primitive behind every
- * parallel kernel (FC GEMM panels, SLS slot fan-out, BatchMatMul,
+ * parallel kernel (FC GEMM output tiles, SLS slot fan-out, BatchMatMul,
  * inter-op table scheduling).
  *
  * Design constraints, in order:

@@ -11,9 +11,26 @@
 #include "core/thread_pool.hh"
 #include "obs/trace.hh"
 #include "ops/kernel_cache.hh"
-#include "ops/microkernels.hh"
 
 namespace recperf {
+
+namespace {
+
+/**
+ * This thread's B-panel pack scratch, grown to at least @p floats. It
+ * persists across calls (one buffer per pool worker and per calling
+ * thread), so the steady-state GEMM never touches the heap.
+ */
+float *
+packScratch(size_t floats)
+{
+    thread_local AlignedBuffer<float> scratch;
+    if (scratch.size() < floats)
+        scratch.resize(floats);
+    return scratch.data();
+}
+
+} // namespace
 
 void
 gemmBt(const float *a, const float *b, float *c, int64_t m, int64_t n,
@@ -31,17 +48,12 @@ gemmBt(const float *a, const float *b, float *c, int64_t m, int64_t n,
     // of a shape tunes under the cache mutex (never on the pool).
     const KernelCache::GemmEntry &entry =
         activeBackend().gemmKernel(m, n, k);
-    const GemmPlan &plan = entry.plan;
-    const size_t pack_floats = static_cast<size_t>(
-        microkernels::gemmPackFloats(plan.blk.nc, k, plan.blk.kc));
+    const GemmTaskGrid grid{a, b, c, m, n, k, entry.plan, accumulate};
     const auto t0 = std::chrono::steady_clock::now();
-    // MC is the parallel grain: each chunk packs its own B panels
-    // (64-byte-aligned scratch) and reduces its rows completely, so
-    // chunks can land on any thread without changing a single bit.
-    parallelFor(0, m, plan.blk.mc, [&](int64_t m0, int64_t m1) {
-        AlignedBuffer<float> pack(pack_floats);
-        runGemmPanel(a, b, c, m0, m1, n, k, plan, pack.data(),
-                     accumulate);
+    // One (mc x nc) task is the parallel grain. The lambda captures one
+    // pointer, so std::function holds it without a heap allocation.
+    parallelFor(0, grid.tasks(), 1, [&grid](int64_t lo, int64_t hi) {
+        grid.run(lo, hi, packScratch(grid.packFloats()));
     });
     entry.recordCall(static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -83,10 +95,11 @@ FullyConnected::forward(const Tensor &x) const
     Tensor y({batch, out_});
     gemmBt(x.data(), weight_.data(), y.data(), batch, out_, in_,
            /*accumulate=*/false);
+    const float *bias = bias_.data();
     for (int64_t i = 0; i < batch; ++i) {
         float *row = y.data() + i * out_;
         for (int64_t j = 0; j < out_; ++j)
-            row[j] += bias_.at(j);
+            row[j] += bias[j];
     }
     return y;
 }

@@ -126,7 +126,7 @@ defaultGemmPlan(KernelIsa isa)
     GemmPlan p;
     p.isa = isa;
     p.blk = GemmBlocking{}; // the seed gemmBt's 32/32/256, nr = 1
-    p.fn = microkernels::kernelsFor(isa).gemmRow;
+    p.fn = microkernels::kernelsFor(isa).gemmBlock;
     return p;
 }
 
@@ -156,19 +156,38 @@ poolingBucket(int64_t pooling)
     return (pooling - lower) < (upper - pooling) ? lower : upper;
 }
 
-void
-runGemmPanel(const float *a, const float *b, float *c, int64_t m0,
-             int64_t m1, int64_t n, int64_t k, const GemmPlan &plan,
-             float *pack, bool accumulate)
+int64_t
+GemmTaskGrid::tasks() const
 {
     const GemmBlocking &blk = plan.blk;
-    for (int64_t n0 = 0; n0 < n; n0 += blk.nc) {
+    return ((m + blk.mc - 1) / blk.mc) * ((n + blk.nc - 1) / blk.nc);
+}
+
+size_t
+GemmTaskGrid::packFloats() const
+{
+    return static_cast<size_t>(
+        microkernels::gemmPackFloats(plan.blk.nc, k, plan.blk.kc));
+}
+
+void
+GemmTaskGrid::run(int64_t lo, int64_t hi, float *pack) const
+{
+    const GemmBlocking &blk = plan.blk;
+    const int64_t m_tiles = (m + blk.mc - 1) / blk.mc;
+    int64_t packed = -1;
+    for (int64_t t = lo; t < hi; ++t) {
+        const int64_t panel = t / m_tiles;
+        const int64_t n0 = panel * blk.nc;
         const int64_t w = std::min(blk.nc, n - n0);
-        microkernels::gemmPackPanel(b, k, n0, w, blk.kc, pack);
-        for (int64_t i = m0; i < m1; ++i) {
-            plan.fn(a + i * k, pack, c + i * n + n0, w, k, blk.kc,
-                    blk.nr, accumulate);
+        if (panel != packed) {
+            microkernels::gemmPackPanel(b, k, n0, w, blk.kc, pack);
+            packed = panel;
         }
+        const int64_t m0 = (t % m_tiles) * blk.mc;
+        plan.fn(a + m0 * k, k, pack, c + m0 * n + n0, n,
+                std::min(blk.mc, m - m0), w, k, blk.kc, blk.nr,
+                accumulate);
     }
 }
 
@@ -392,15 +411,14 @@ KernelCache::tuneGemm(int64_t m, int64_t n, int64_t k, double *tuning_us,
         GemmPlan plan;
         plan.isa = c.isa;
         plan.blk = c.blk;
-        plan.fn = microkernels::kernelsFor(c.isa).gemmRow;
+        plan.fn = microkernels::kernelsFor(c.isa).gemmBlock;
         const int64_t mrows = std::max<int64_t>(
             1, std::min(m, c.blk.mc));
-        AlignedBuffer<float> pack(static_cast<size_t>(
-            microkernels::gemmPackFloats(c.blk.nc, k, c.blk.kc)));
-        const uint64_t t = measureNs([&] {
-            runGemmPanel(a.data(), b.data(), out.data(), 0, mrows, n, k,
-                         plan, pack.data(), /*accumulate=*/false);
-        });
+        const GemmTaskGrid grid{a.data(), b.data(), out.data(), mrows, n,
+                                k, plan, /*accumulate=*/false};
+        AlignedBuffer<float> pack(grid.packFloats());
+        const uint64_t t = measureNs(
+            [&] { grid.run(0, grid.tasks(), pack.data()); });
         const double score =
             static_cast<double>(t) / static_cast<double>(mrows);
         if (best.fn == nullptr || score < best_score) {

@@ -51,8 +51,8 @@ class Tracer;
 /** Loop-tiling parameters (bit-neutral; see determinism contract). */
 struct GemmBlocking
 {
-    int64_t mc = 32;  ///< rows per parallel chunk (pack amortization)
-    int64_t nc = 32;  ///< packed panel width
+    int64_t mc = 32;  ///< rows per task of the parallel (mc x nc) grid
+    int64_t nc = 32;  ///< packed panel width (columns per task)
     int64_t kc = 256; ///< pack chunk depth (multiple of 64)
     int nr = 1;       ///< register-tile columns (1, 2, or 4)
 };
@@ -62,7 +62,7 @@ struct GemmPlan
 {
     KernelIsa isa = KernelIsa::Scalar;
     GemmBlocking blk;
-    microkernels::GemmRowFn fn = nullptr;
+    microkernels::GemmBlockFn fn = nullptr;
 };
 
 /** Memoized decision for one SLS shape. */
@@ -75,15 +75,33 @@ struct SlsPlan
 };
 
 /**
- * Run the blocked GEMM row span [m0, m1) serially with @p plan:
- * C[i][n0+j] (+)= dot(A row i, B row n0+j) for row-major A[m][k],
- * B[n][k]. @p pack must hold gemmPackFloats(blk.nc, k, blk.kc)
- * floats. Shared by gemmBt's parallel chunks and the tuner's serial
- * measurements — one code path, one bit pattern.
+ * One GEMM call C[i][j] (+)= dot(A row i, B row j) for row-major
+ * A[m][k], B[n][k], cut into the (mc x nc) task grid of @p plan. Tasks
+ * are numbered panel-major, so a run of consecutive tasks packs each B
+ * panel once and reuses it down the M tiles. Every output element is
+ * computed by exactly one task with the tier's fixed arithmetic, so
+ * tasks can run on any thread in any order without changing a bit.
+ * gemmBt hands task ranges to the pool; the tuner times one M tile
+ * serially — one code path, one bit pattern.
  */
-void runGemmPanel(const float *a, const float *b, float *c, int64_t m0,
-                  int64_t m1, int64_t n, int64_t k, const GemmPlan &plan,
-                  float *pack, bool accumulate);
+struct GemmTaskGrid
+{
+    const float *a;
+    const float *b;
+    float *c;
+    int64_t m, n, k;
+    const GemmPlan &plan;
+    bool accumulate;
+
+    /** ceil(m / mc) * ceil(n / nc). */
+    int64_t tasks() const;
+
+    /** Pack scratch run() needs: gemmPackFloats(nc, k, kc). */
+    size_t packFloats() const;
+
+    /** Run tasks [lo, hi) serially, packing B panels into @p pack. */
+    void run(int64_t lo, int64_t hi, float *pack) const;
+};
 
 /** Nearest power of two (ties go up; 0 stays 0) — the SLS cache key
  *  buckets average pooling so jittered lengths share one entry. */

@@ -11,10 +11,11 @@
  * accumulation pattern per output element — the number of independent
  * accumulator chains, their stride over K, the reduction tree, and the
  * scalar-tail handling never vary with the tuned blocking parameters.
- * MC (parallel grain), NC (pack panel width), KC (pack chunk size) and
- * NR (register-tile columns) only re-tile *loops*, never re-associate
- * *arithmetic*, so within a pinned ISA the results are bit-identical
- * across thread counts, blocking choices, and cache cold/warm runs.
+ * MC x NC (the parallel task grid), KC (pack chunk size), NR
+ * (register-tile columns) and the tier's fixed register-tile row count
+ * only re-tile *loops*, never re-associate *arithmetic*, so within a
+ * pinned ISA the results are bit-identical across thread counts,
+ * blocking choices, and cache cold/warm runs.
  * KC is therefore constrained to multiples of kKcQuantum (64), which
  * keeps chunk boundaries aligned with every tier's accumulator stride
  * (scalar steps 4, AVX2 steps 16, AVX-512 steps 32).
@@ -57,6 +58,17 @@ using GemmRowFn = void (*)(const float *arow, const float *pack,
                            float *crow, int64_t w, int64_t k, int64_t kc,
                            int nr, bool accumulate);
 
+/**
+ * @p rows A rows (row stride @p lda) times the same packed panel, into
+ * C rows of stride @p ldc. Rows go through a register tile of the
+ * tier's IsaKernels::gemmRows rows, so each packed B vector is loaded
+ * once per row group; leftover rows go through gemmRow. Every output
+ * element gets exactly gemmRow's arithmetic.
+ */
+using GemmBlockFn = void (*)(const float *a, int64_t lda, const float *pack,
+                             float *c, int64_t ldc, int64_t rows, int64_t w,
+                             int64_t k, int64_t kc, int nr, bool accumulate);
+
 /** dst[0..dim) += src[0..dim) (embedding-row gather accumulate). */
 using SlsAccumFn = void (*)(float *dst, const float *src, int64_t dim);
 
@@ -73,6 +85,9 @@ struct IsaKernels
     /** False when the TU was compiled without this tier's ISA. */
     bool available = false;
     GemmRowFn gemmRow = nullptr;
+    GemmBlockFn gemmBlock = nullptr;
+    /** A rows per gemmBlock register tile (1 = no row tiling). */
+    int gemmRows = 1;
     SlsAccumFn slsAccum[kSlsUnrolls] = {};
     QslsAccumFn qslsAccum[kSlsUnrolls] = {};
 };

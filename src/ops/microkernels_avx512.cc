@@ -22,6 +22,8 @@ struct Avx512Ops
     using V = __m512;
     static constexpr int kLanes = 16;
     static constexpr int kAcc = 2;
+    // 4 rows x 2 cols x kAcc = 16 accumulators of 32 zmm registers.
+    static constexpr int kRows = 4;
 
     static V
     zero()

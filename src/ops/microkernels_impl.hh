@@ -14,6 +14,7 @@
  *   using V;                        // vector register type
  *   static constexpr int kLanes;    // fp32 lanes per V
  *   static constexpr int kAcc;      // independent accumulator chains
+ *   static constexpr int kRows;     // A rows per gemmBlock register tile
  *   V zero(); V load(const float*); V madd(V a, V b, V acc);
  *   V add(V, V); void store(float*, V);
  *   float reduce(const V acc[kAcc]);           // fixed pairwise tree
@@ -40,24 +41,29 @@ const IsaKernels &avx512Kernels();
 namespace detail {
 
 /**
- * One register tile: COLS packed columns against one A row. The K walk
+ * One register tile: ROWS A rows against COLS packed columns. The K walk
  * steps kLanes*kAcc floats at a time across pack chunks (chunk edges
  * are STEP-aligned because kc % kKcQuantum == 0), merges the chains
  * with Ops::reduce's fixed tree, then folds the ragged tail (< STEP
  * elements, always inside the last chunk) sequentially — the same
  * shape the seed dotUnrolled used, independent of kc/nr/blocking.
+ * ROWS only shares each B vector load across independent outputs; no
+ * output's chains ever see another output's terms, so a ROWS-row tile
+ * is bit-identical to ROWS one-row tiles.
  */
-template <class Ops, int COLS>
+template <class Ops, int ROWS, int COLS>
 inline void
-gemmTile(const float *arow, const float *pack, float *crow, int64_t j0,
-         int64_t w, int64_t k, int64_t kc, bool accumulate)
+gemmTile(const float *arow, int64_t lda, const float *pack, float *crow,
+         int64_t ldc, int64_t j0, int64_t w, int64_t k, int64_t kc,
+         bool accumulate)
 {
     constexpr int64_t STEP =
         static_cast<int64_t>(Ops::kLanes) * Ops::kAcc;
-    typename Ops::V acc[COLS][Ops::kAcc];
-    for (int c = 0; c < COLS; ++c)
-        for (int a = 0; a < Ops::kAcc; ++a)
-            acc[c][a] = Ops::zero();
+    typename Ops::V acc[ROWS][COLS][Ops::kAcc];
+    for (int r = 0; r < ROWS; ++r)
+        for (int c = 0; c < COLS; ++c)
+            for (int h = 0; h < Ops::kAcc; ++h)
+                acc[r][c][h] = Ops::zero();
 
     const int64_t k_main = k - (k % STEP);
     const int64_t chunks = kc > 0 ? (k + kc - 1) / kc : 0;
@@ -70,36 +76,45 @@ gemmTile(const float *arow, const float *pack, float *crow, int64_t j0,
         for (int c = 0; c < COLS; ++c)
             bcol[c] = pack + (q * w + j0 + c) * kc;
         for (int64_t p = 0; p + STEP <= mb; p += STEP) {
-            for (int a = 0; a < Ops::kAcc; ++a) {
-                const int64_t off = p + a * Ops::kLanes;
-                const typename Ops::V xv = Ops::load(x + off);
+            for (int h = 0; h < Ops::kAcc; ++h) {
+                const int64_t off = p + h * Ops::kLanes;
+                typename Ops::V bv[COLS];
                 for (int c = 0; c < COLS; ++c)
-                    acc[c][a] =
-                        Ops::madd(xv, Ops::load(bcol[c] + off), acc[c][a]);
+                    bv[c] = Ops::load(bcol[c] + off);
+                for (int r = 0; r < ROWS; ++r) {
+                    const typename Ops::V xv = Ops::load(x + r * lda + off);
+                    for (int c = 0; c < COLS; ++c)
+                        acc[r][c][h] = Ops::madd(xv, bv[c], acc[r][c][h]);
+                }
             }
         }
     }
 
-    float red[COLS];
-    for (int c = 0; c < COLS; ++c)
-        red[c] = Ops::reduce(acc[c]);
+    float red[ROWS][COLS];
+    for (int r = 0; r < ROWS; ++r)
+        for (int c = 0; c < COLS; ++c)
+            red[r][c] = Ops::reduce(acc[r][c]);
 
     if (k_main < k) {
         const int64_t q = chunks - 1;
         const int64_t base = q * kc;
-        const float *x = arow + base;
-        for (int c = 0; c < COLS; ++c) {
-            const float *bc = pack + (q * w + j0 + c) * kc;
-            float r = red[c];
-            for (int64_t p = k_main - base; p < k - base; ++p)
-                r += x[p] * bc[p];
-            red[c] = r;
+        for (int r = 0; r < ROWS; ++r) {
+            const float *x = arow + r * lda + base;
+            for (int c = 0; c < COLS; ++c) {
+                const float *bc = pack + (q * w + j0 + c) * kc;
+                float t = red[r][c];
+                for (int64_t p = k_main - base; p < k - base; ++p)
+                    t += x[p] * bc[p];
+                red[r][c] = t;
+            }
         }
     }
 
-    for (int c = 0; c < COLS; ++c) {
-        float *out = crow + j0 + c;
-        *out = accumulate ? *out + red[c] : red[c];
+    for (int r = 0; r < ROWS; ++r) {
+        for (int c = 0; c < COLS; ++c) {
+            float *out = crow + r * ldc + j0 + c;
+            *out = accumulate ? *out + red[r][c] : red[r][c];
+        }
     }
 }
 
@@ -114,14 +129,48 @@ gemmRowImpl(const float *arow, const float *pack, float *crow, int64_t w,
     int64_t j = 0;
     if (nr >= 4) {
         for (; j + 4 <= w; j += 4)
-            gemmTile<Ops, 4>(arow, pack, crow, j, w, k, kc, accumulate);
+            gemmTile<Ops, 1, 4>(arow, 0, pack, crow, 0, j, w, k, kc,
+                                accumulate);
     }
     if (nr >= 2) {
         for (; j + 2 <= w; j += 2)
-            gemmTile<Ops, 2>(arow, pack, crow, j, w, k, kc, accumulate);
+            gemmTile<Ops, 1, 2>(arow, 0, pack, crow, 0, j, w, k, kc,
+                                accumulate);
     }
     for (; j < w; ++j)
-        gemmTile<Ops, 1>(arow, pack, crow, j, w, k, kc, accumulate);
+        gemmTile<Ops, 1, 1>(arow, 0, pack, crow, 0, j, w, k, kc,
+                            accumulate);
+}
+
+/** Row-group loop: Ops::kRows-row tiles at most 2 columns wide (so
+ *  the accumulators stay in registers), then leftover rows one at a
+ *  time through gemmRowImpl. Row grouping, like nr, is bit-neutral. */
+template <class Ops>
+void
+gemmBlockImpl(const float *a, int64_t lda, const float *pack, float *c,
+              int64_t ldc, int64_t rows, int64_t w, int64_t k, int64_t kc,
+              int nr, bool accumulate)
+{
+    constexpr int R = Ops::kRows;
+    int64_t i = 0;
+    if constexpr (R > 1) {
+        for (; i + R <= rows; i += R) {
+            const float *ai = a + i * lda;
+            float *ci = c + i * ldc;
+            int64_t j = 0;
+            if (nr >= 2) {
+                for (; j + 2 <= w; j += 2)
+                    gemmTile<Ops, R, 2>(ai, lda, pack, ci, ldc, j, w, k, kc,
+                                        accumulate);
+            }
+            for (; j < w; ++j)
+                gemmTile<Ops, R, 1>(ai, lda, pack, ci, ldc, j, w, k, kc,
+                                    accumulate);
+        }
+    }
+    for (; i < rows; ++i)
+        gemmRowImpl<Ops>(a + i * lda, pack, c + i * ldc, w, k, kc, nr,
+                         accumulate);
 }
 
 /** dst += src: element-independent vertical adds — bit-identical to
@@ -177,6 +226,8 @@ makeKernels()
     IsaKernels k;
     k.available = true;
     k.gemmRow = &gemmRowImpl<Ops>;
+    k.gemmBlock = &gemmBlockImpl<Ops>;
+    k.gemmRows = Ops::kRows;
     k.slsAccum[0] = &slsAccumImpl<Ops, 1>;
     k.slsAccum[1] = &slsAccumImpl<Ops, 2>;
     k.qslsAccum[0] = &qslsAccumImpl<Ops, 1>;

@@ -21,6 +21,10 @@ struct ScalarOps
     };
     static constexpr int kLanes = 4;
     static constexpr int kAcc = 1;
+    // A second row doubles the live scalar chains past what the 16
+    // SSE registers hold: a 2-row tile ran the RMC3 GEMMs 1.6-1.8x
+    // slower on an AVX-512 Xeon.
+    static constexpr int kRows = 1;
 
     static V
     zero()

@@ -4,20 +4,26 @@
  * (FC GEMM, SparseLengthsSum, quantized SLS, BatchMatMul, dot
  * interaction, full RecModel forward) must produce
  * outputs bitwise-identical to its 1-thread execution at every thread
- * count — the execution engine's determinism contract.
+ * count — the execution engine's determinism contract. gemmBt is also
+ * held bit for bit to a serial one-row-at-a-time oracle under every
+ * pinned ISA tier.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
 #include <vector>
 
+#include "core/aligned.hh"
 #include "core/rng.hh"
 #include "core/thread_pool.hh"
 #include "model/rec_model.hh"
 #include "model/zoo.hh"
 #include "ops/batch_matmul.hh"
 #include "ops/fully_connected.hh"
+#include "ops/kernel_cache.hh"
+#include "ops/microkernels.hh"
 #include "ops/quantized_embedding.hh"
 #include "ops/sparse_lengths_sum.hh"
 #include "tensor/tensor.hh"
@@ -27,10 +33,56 @@ namespace {
 
 const std::vector<int> kThreadCounts = {2, 3, 4, 8};
 
+/** ISA tiers usable on this host *and* compiled into this binary. */
+std::vector<KernelIsa>
+usableIsas()
+{
+    std::vector<KernelIsa> isas;
+    for (int t = 0; t <= static_cast<int>(detectIsa()); ++t) {
+        const KernelIsa isa = static_cast<KernelIsa>(t);
+        if (microkernels::kernelsFor(isa).available)
+            isas.push_back(isa);
+    }
+    return isas;
+}
+
+/**
+ * Serial oracle for gemmBt under a pinned @p isa: all of B packed as
+ * one panel at the smallest chunk size, then one gemmRow call per A
+ * row with one-column tiles. That tiling is one gemmBt never picks, so
+ * a task grid or register tile that re-associates any sum differs from
+ * it in some bit.
+ */
+std::vector<float>
+gemmRowOracle(KernelIsa isa, const float *a, const float *b,
+              std::vector<float> c, int64_t m, int64_t n, int64_t k,
+              bool accumulate)
+{
+    const int64_t kc = microkernels::kKcQuantum;
+    AlignedBuffer<float> pack(static_cast<size_t>(
+        microkernels::gemmPackFloats(n, k, kc)));
+    microkernels::gemmPackPanel(b, k, 0, n, kc, pack.data());
+    const microkernels::GemmRowFn row =
+        microkernels::kernelsFor(isa).gemmRow;
+    for (int64_t i = 0; i < m; ++i)
+        row(a + i * k, pack.data(), c.data() + i * n, n, k, kc, 1,
+            accumulate);
+    return c;
+}
+
 class ParallelOpsTest : public ::testing::Test
 {
   protected:
-    void TearDown() override { setGlobalThreadCount(0); }
+    void SetUp() override { policy_ = KernelCache::global().policy(); }
+
+    void
+    TearDown() override
+    {
+        setGlobalThreadCount(0);
+        KernelCache::global().setPolicy(policy_);
+    }
+
+    IsaPolicy policy_;
 
     static ::testing::AssertionResult
     bitwiseEqual(const Tensor &a, const Tensor &b)
@@ -102,6 +154,52 @@ TEST_F(ParallelOpsTest, GemmBtBitwise)
                    /*accumulate=*/true);
             return c;
         });
+    }
+}
+
+TEST_F(ParallelOpsTest, GemmBtMatchesSerialRowOracle)
+{
+    Rng rng(23);
+    for (KernelIsa isa : usableIsas()) {
+        KernelCache::global().setPolicy(IsaPolicy{false, isa});
+        const int64_t rows = microkernels::kernelsFor(isa).gemmRows;
+        // M around the row tile and the mc tiles; N around both panel
+        // widths the tuner picks from (nc 32 and 64: nc-1, nc+1,
+        // 2*nc+3); K across the tail-only, chunk-edge and deep cases.
+        const std::set<int64_t> ms = {1, 3, rows, rows + 1, 63, 64, 65};
+        for (int64_t m : ms) {
+            for (int64_t n : {1, 31, 33, 63, 65, 67, 131}) {
+                for (int64_t k : {1, 31, 64, 100, 257, 2048}) {
+                    std::vector<float> a(static_cast<size_t>(m * k));
+                    std::vector<float> b(static_cast<size_t>(n * k));
+                    std::vector<float> c0(static_cast<size_t>(m * n));
+                    for (float &v : a)
+                        v = rng.nextFloat(-1.0f, 1.0f);
+                    for (float &v : b)
+                        v = rng.nextFloat(-1.0f, 1.0f);
+                    for (float &v : c0)
+                        v = rng.nextFloat(-1.0f, 1.0f);
+                    for (bool accumulate : {false, true}) {
+                        const std::vector<float> want =
+                            gemmRowOracle(isa, a.data(), b.data(), c0, m,
+                                          n, k, accumulate);
+                        for (int threads : {1, 2, 3, 4}) {
+                            setGlobalThreadCount(threads);
+                            std::vector<float> c = c0;
+                            gemmBt(a.data(), b.data(), c.data(), m, n, k,
+                                   accumulate);
+                            ASSERT_EQ(0, std::memcmp(want.data(), c.data(),
+                                                     c.size() *
+                                                         sizeof(float)))
+                                << kernelIsaName(isa) << " m" << m << " n"
+                                << n << " k" << k << " accumulate "
+                                << accumulate << " at " << threads
+                                << " threads";
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
