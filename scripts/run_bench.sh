@@ -13,7 +13,8 @@
 #    across the (corruption rate x scrub interval x inline sampling)
 #    defense grid
 #  - BENCH_backend.json: near-memory SLS backend vs host CPU latency
-#    across RMC1/2/3 x pooling depth x PIM rank count (virtual time)
+#    across RMC1/2/3 x pooling depth x PIM rank count (virtual time;
+#    the --quick grid, the one CI regenerates and diffs)
 #  - BENCH_tail_attribution.json: p99-p50 blame decomposition derived
 #    from the per-request causal log across overload / straggler /
 #    hedged scenarios (virtual time; bit-deterministic)
@@ -46,7 +47,8 @@ echo "wrote $(pwd)/BENCH_brownout.json"
 ./build/bench/study_sdc --out BENCH_sdc.json
 echo "wrote $(pwd)/BENCH_sdc.json"
 
-./build/bench/study_backend --out BENCH_backend.json
+# --quick (iters 10, warmup 3) is the committed envelope and the CI gate.
+./build/bench/study_backend --quick --out BENCH_backend.json
 echo "wrote $(pwd)/BENCH_backend.json"
 
 ./build/bench/fig11_tail_latency --out BENCH_tail_attribution.json

@@ -16,6 +16,13 @@ namespace obs {
 
 namespace {
 
+/**
+ * Deepest object/array nesting the parser accepts. Our writers nest a
+ * handful of levels; the cap turns adversarial depth into a parse
+ * error instead of a stack overflow in the recursive descent.
+ */
+constexpr int kMaxJsonDepth = 256;
+
 class Parser
 {
   public:
@@ -132,8 +139,16 @@ class Parser
             return fail("unexpected end of input");
         char c = text_[pos_];
         switch (c) {
-          case '{': return object(out);
-          case '[': return array(out);
+          case '{':
+          case '[': {
+            if (depth_ == kMaxJsonDepth)
+                return fail(strprintf("nesting deeper than %d levels",
+                                      kMaxJsonDepth));
+            ++depth_;
+            bool ok = c == '{' ? object(out) : array(out);
+            --depth_;
+            return ok;
+          }
           case '"':
             out.kind = JsonValue::Kind::String;
             return string(out.str);
@@ -219,6 +234,7 @@ class Parser
     const std::string &text_;
     std::string &error_;
     size_t pos_ = 0;
+    int depth_ = 0; ///< objects/arrays open around the current value
 };
 
 } // namespace

@@ -58,6 +58,11 @@ TEST(ReportJson, RejectsMalformedInputWithOffset)
     EXPECT_NE(err.find("byte"), std::string::npos) << err;
     EXPECT_FALSE(parseJson("", v, err));
     EXPECT_FALSE(parseJson("{\"a\": 1} trailing", v, err));
+    // Adversarial nesting is a parse error, not a stack overflow.
+    std::string deep =
+        std::string(200000, '[') + std::string(200000, ']');
+    EXPECT_FALSE(parseJson(deep, v, err));
+    EXPECT_NE(err.find("nesting"), std::string::npos) << err;
 }
 
 TEST(Report, MalformedArtifactReportsErrorNotCrash)

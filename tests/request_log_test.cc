@@ -516,6 +516,15 @@ TEST(Explain, MalformedLogIsAnErrorNotACrash)
     std::string err;
     EXPECT_EQ(obs::renderExplain(inputs, err), "");
     EXPECT_FALSE(err.empty());
+
+    // A 100000-deep object is a parse error, not a stack overflow.
+    std::string deep;
+    for (int i = 0; i < 100000; ++i)
+        deep += "{\"a\":";
+    inputs.requestLogJsonl = deep + "1" + std::string(100000, '}') + "\n";
+    err.clear();
+    EXPECT_EQ(obs::renderExplain(inputs, err), "");
+    EXPECT_NE(err.find("nesting"), std::string::npos) << err;
 }
 
 } // namespace

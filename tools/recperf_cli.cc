@@ -20,16 +20,14 @@
  *             breakdown, cache MPKI, roofline placement, SLO burn)
  *             from saved --metrics-out/--trace-out/--timeseries-out
  *             artifacts
+ *   explain   attribute the latency tail from a --request-log-out log
  *   zoo       list the model zoo and machine fleet
  *
- * The global --threads flag (or RECPERF_THREADS) sizes the worker
- * pool used by every tensor kernel. time/serve/shard/eval accept
- * --trace-out=<file> (Chrome trace-event JSON; open in Perfetto) and
- * --metrics-out=<file> (metrics-registry JSON plus a summary table).
- * --counters turns on the hardware-model telemetry (FLOPs, bytes,
- * per-level cache stats, roofline gauges) and --timeseries-out=<file>
- * additionally samples it on a fixed virtual-time cadence into JSONL
- * (--timeseries-interval-ms sets the cadence).
+ * One table (kFlags) declares every flag. A flag the command does not
+ * read, a bad or out-of-range value, and a child flag without its
+ * parent exit 2 before dispatch; `recperf <command> --help` lists the
+ * flags a command reads. time/serve/shard/eval write Chrome traces,
+ * metrics, hardware-model counters and time series on request.
  *
  * Examples:
  *   recperf time --model rmc2 --machine skylake --batch 64
@@ -44,12 +42,24 @@
  *   recperf eval --model rmc2 --batch 64 --threads 8
  */
 
+#include <algorithm>
+#include <bit>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <memory>
+#include <new>
+#include <optional>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include <strings.h>
 
 #include "backend/compute_backend.hh"
 #include "core/args.hh"
@@ -83,61 +93,324 @@ using namespace recperf;
 
 namespace {
 
-void obsBegin(ArgParser &args);
-void obsEnd(ArgParser &args);
+/** The commands; a flag's scope is a mask of their bits. */
+constexpr const char *kCommands[] = {"time", "colocate", "serve", "shard",
+    "trace", "eval", "report", "explain", "zoo"};
+constexpr unsigned kTime = 1u << 0, kColocate = 1u << 1,
+                   kServe = 1u << 2, kShard = 1u << 3, kTrace = 1u << 4,
+                   kEval = 1u << 5, kReport = 1u << 6, kExplain = 1u << 7,
+                   kAll = (1u << std::size(kCommands)) - 1;
+constexpr unsigned kServing = kServe | kShard;
+constexpr unsigned kTimed = kTime | kColocate | kServing; ///< timing model
+constexpr unsigned kModel = kTimed | kEval;               ///< any model
+constexpr unsigned kObserved = kTime | kServing | kEval;  ///< obsBegin/End
 
-ModelConfig
-modelByName(const std::string &name)
+/** Value kinds. Readers narrow kInt to int/uint32, so it must fit. */
+enum Kind { kFlag, kInt, kInt64, kNum, kText, kChoice };
+
+/** One row of the flag table, which registers every flag, generates
+ *  the help and drives checkFlags(); Cli enforces the row's scope. */
+struct FlagSpec
 {
+    const char *name;
+    Kind kind;
+    const char *def;
+    unsigned scope; ///< the commands that read the flag
+    /** kChoice: "a|b|c" (a parent is active unless it holds the first
+     *  choice); numbers: the interval an explicit value must lie in,
+     *  e.g. "[0,1)" (defaults such as 0 = off may lie outside). */
+    const char *domain;
+    const char *help;
+    const char *parent = nullptr; ///< no effect unless this is active
+    const char *env = nullptr;    ///< consulted when the flag is unset
+};
+
+/** Every recperf flag; a child given without its active parent is an
+ *  error, since it would do nothing. */
+constexpr FlagSpec kFlags[] = {
+    {"model", kText, "rmc1", kModel, "",
+     "model: rmc1|rmc2|rmc3|rmc3-dot|ncf or a full zoo name"},
+    {"machine", kChoice, "broadwell", kTimed, "haswell|broadwell|skylake",
+     "machine"},
+    {"batch", kInt64, "16", kModel, "[1,inf)",
+     "batch size / max serving batch"},
+    {"iters", kInt, "20", kTime | kShard | kEval, "[1,inf)",
+     "measured iterations"},
+    {"max-tenants", kInt, "8", kColocate, "[1,inf)",
+     "co-location sweep upper bound"},
+    {"workers", kInt, "4", kServe, "[1,inf)", "serving workers"},
+    {"rate", kNum, "10000", kServe, "(0,inf)", "offered items/s"},
+    {"items", kInt64, "20000", kServe | kTrace, "[1,inf)",
+     "items to simulate"},
+    {"sla-ms", kNum, "10", kServe, "(0,inf)", "SLA in milliseconds"},
+    {"zipf", kNum, "1.1", kTime | kTrace, "(0,inf)", "trace popularity skew"},
+    {"repeat", kNum, "0.5", kTime | kTrace, "[0,1)",
+     "trace re-reference probability"},
+    {"rows", kInt64, "2000000", kTrace, "[1,inf)", "embedding rows"},
+    {"seed", kInt64, "42", kModel | kTrace, "", "random seed"},
+    {"threads", kInt, "0", kEval, "[0,inf)",
+     "tensor-op worker threads (0 = RECPERF_THREADS or hardware)"},
+    {"backend", kChoice, "cpu", kModel, "cpu|nmp",
+     "compute backend (nmp: near-memory SLS)", nullptr, "RECPERF_BACKEND"},
+    {"isa", kChoice, "auto", kModel, "auto|scalar|avx2|avx512",
+     "kernel ISA tier (pinned tiers are bit-exact)", nullptr, "RECPERF_ISA"},
+    {"nmp-ranks", kInt, "8", kModel, "[1,inf)", "PIM-enabled memory ranks",
+     "backend"},
+    {"nmp-rank-gbps", kNum, "9.6", kModel, "",
+     "in-rank gather bandwidth per rank, GB/s", "backend"},
+    {"nmp-row-ns", kNum, "50", kModel, "",
+     "per-row in-rank access latency, ns", "backend"},
+    {"nmp-link-gbps", kNum, "12", kModel, "",
+     "host<->PIM link bandwidth, GB/s", "backend"},
+    {"nmp-launch-us", kNum, "2", kModel, "",
+     "per-offloaded-op launch round trip, us", "backend"},
+    {"nmp-placement", kChoice, "auto", kModel, "auto|all|none",
+     "which tables offload", "backend"},
+    {"nmp-min-table-kb", kInt, "1024", kModel, "[0,inf)",
+     "auto placement: smaller tables stay on host", "backend"},
+    {"nmp-host-llc-frac", kNum, "0.5", kModel, "",
+     "tables fitting this fraction of the LLC share stay on host", "backend"},
+    {"dump-kernel-cache", kFlag, "", kEval, "",
+     "print the memoized kernel table after eval"},
+    {"rows-cap", kInt64, "4096", kEval, "[1,inf)",
+     "embedding rows cap for eval's functional model"},
+    {"nodes", kInt, "4", kShard, "[1,inf)", "shard nodes"},
+    {"straggler-prob", kNum, "0", kServing, "", "straggler probability"},
+    {"straggler-alpha", kNum, "1.5", kServing, "", "straggler pareto shape",
+     "straggler-prob"},
+    {"straggler-min", kNum, "2", kServing, "", "minimum straggler slowdown",
+     "straggler-prob"},
+    {"mtbf-ms", kNum, "0", kShard, "", "shard mean time between failures"},
+    {"mttr-ms", kNum, "10", kShard, "", "shard mean time to repair"},
+    {"spike-rate", kNum, "0", kServing, "", "load spikes per second"},
+    {"spike-ms", kNum, "5", kServing, "", "load spike duration",
+     "spike-rate"},
+    {"spike-factor", kNum, "2", kServing, "", "slowdown during a spike",
+     "spike-rate"},
+    {"fault-seed", kInt64, "2020", kServing | kEval, "",
+     "failure-model seed"},
+    {"timeout-ms", kNum, "0", kShard, "", "per-shard timeout (0 = none)"},
+    {"retries", kInt, "2", kShard, "", "max retries per shard request"},
+    {"hedge", kFlag, "", kShard, "",
+     "hedge slow shard requests to a replica"},
+    {"hedge-ms", kNum, "0", kShard, "", "hedge delay (0 = auto p95)",
+     "hedge"},
+    {"replicas", kInt, "1", kShard, "[1,inf)",
+     "replicas per shard (>= 2 enables failover)"},
+    {"router", kChoice, "primary-first", kShard,
+     "primary-first|least-loaded|p2c", "replica router"},
+    {"breaker-errors", kInt, "3", kShard, "",
+     "consecutive errors tripping a replica's breaker"},
+    {"breaker-open-ms", kNum, "0.5", kShard, "",
+     "breaker cooldown before half-open"},
+    {"breaker-probe", kNum, "0.7", kShard, "",
+     "half-open probe admission probability"},
+    {"breaker-close-probes", kInt, "2", kShard, "",
+     "probe successes that re-close a breaker"},
+    {"warmup-ms", kNum, "2", kShard, "",
+     "post-recovery warm-up window (cold caches)"},
+    {"warmup-factor", kNum, "0", kShard, "",
+     "post-recovery slowdown (0 = measured cold/steady)"},
+    {"chaos-events", kInt, "0", kShard, "[0,inf)",
+     "scripted chaos windows over the run"},
+    {"chaos-ms", kNum, "5", kShard, "", "mean chaos window duration"},
+    {"corrupt-rate", kNum, "0", kShard, "",
+     "memory-corruption events per second (0 = off)"},
+    {"corrupt-zipf", kNum, "1.05", kShard, "",
+     "corruption row-targeting skew (0 = uniform)", "corrupt-rate"},
+    {"corrupt-multi-bit", kNum, "0.2", kShard, "",
+     "fraction of corruptions flipping multiple bits", "corrupt-rate"},
+    {"corrupt-stuck-row", kNum, "0.1", kShard, "",
+     "fraction of corruptions sticking a whole row at 1s", "corrupt-rate"},
+    {"corrupt-fc", kNum, "0", kShard, "",
+     "fraction of corruptions hitting FC weights", "corrupt-rate"},
+    {"scrub-interval-ms", kNum, "0", kShard, "",
+     "background checksum scrub full-sweep period (0 = off)"},
+    {"integrity-sample", kNum, "0", kShard | kEval, "(0,1]",
+     "inline-verified fraction of lookup batches (0 = off)"},
+    {"integrity-guards", kFlag, "", kShard, "",
+     "NaN/inf/range + checksum output guards at the aggregation boundary"},
+    {"integrity-canary-ms", kNum, "0", kShard, "",
+     "canary-query period with golden outputs (0 = off)"},
+    {"repair-rtt-us", kNum, "200", kShard, "",
+     "parameter-store round trip per row re-fetch"},
+    {"repair-gbps", kNum, "1", kShard, "",
+     "parameter-store transfer bandwidth"},
+    {"drain-density", kNum, "0", kShard, "",
+     "row-corruption density that drains + rehydrates a replica (0 = off)"},
+    {"fault-log-out", kText, "", kShard, "",
+     "write every injected fault event as JSONL"},
+    {"corrupt-events", kInt64, "0", kEval, "[0,inf)",
+     "seeded bit flips injected into eval's real tables", "integrity-sample"},
+    {"cluster-replicas", kInt, "1", kServe, "[1,inf)",
+     "replicas backing the serving tier"},
+    {"healthy-replicas", kInt, "0", kServe, "[0,inf)",
+     "healthy replicas in the tier (0 = all)"},
+    {"trace-out", kText, "", kObserved, "",
+     "write a Chrome trace-event JSON of the run"},
+    {"metrics-out", kText, "", kObserved, "",
+     "write the metrics registry as JSON and print the summary table"},
+    {"counters", kFlag, "", kObserved, "",
+     "hardware-model telemetry (FLOPs, bytes, cache stats, rooflines)"},
+    {"timeseries-out", kText, "", kObserved, "",
+     "write telemetry/SLO-burn samples as JSONL (implies --counters)"},
+    {"timeseries-interval-ms", kNum, "10", kObserved, "(0,inf)",
+     "virtual-time sampling cadence", "timeseries-out"},
+    {"request-log-out", kText, "", kServing, "",
+     "write one causal JSON record per request as JSONL"},
+    {"exemplars-out", kText, "", kServing, "",
+     "write the slowest-k + per-decile exemplar records as JSONL"},
+    {"request-log-k", kInt, "4", kServing, "",
+     "slowest-k exemplar reservoir size"},
+    {"request-log-window-ms", kNum, "0", kServing, "",
+     "slowest-k trailing window in virtual ms (0 = whole run)"},
+    {"metrics", kText, "", kReport | kExplain, "",
+     "metrics JSON artifact to render"},
+    {"trace", kText, "", kReport, "", "trace JSON artifact to render"},
+    {"timeseries", kText, "", kReport, "",
+     "timeseries JSONL artifact to render"},
+    {"request-log", kText, "", kExplain, "",
+     "request-log JSONL artifact to attribute"},
+    {"top", kInt, "4", kExplain, "[1,inf)",
+     "slowest exemplar timelines to render"},
+    {"admission", kFlag, "", kServe, "",
+     "shed items whose wait blows the SLA"},
+    {"admit-wait", kNum, "0.5", kServe, "",
+     "sheddable wait as SLA fraction", "admission"},
+    {"degrade-batch", kInt64, "0", kServe, "[0,inf)",
+     "degraded-mode batch cap (0 = off)"},
+    {"backlog-factor", kNum, "2", kServe, "",
+     "backlog (in max batches) triggering degraded mode", "degrade-batch"},
+    {"deadline-ms", kNum, "0", kServing, "",
+     "per-item deadline budget (0 = off)"},
+    {"brownout", kFlag, "", kServe, "",
+     "enable the SLO-driven brownout ladder"},
+    {"brownout-enter", kNum, "4", kServe, "",
+     "short-window burn rate entering ladder level 1", "brownout"},
+    {"brownout-growth", kNum, "2", kServe, "",
+     "entry-threshold growth per ladder level", "brownout"},
+    {"brownout-exit", kNum, "0.5", kServe, "",
+     "de-escalate below this fraction of the entry threshold", "brownout"},
+    {"brownout-dwell-ms", kNum, "20", kServe, "",
+     "minimum time between ladder transitions", "brownout"},
+    {"brownout-truncate", kNum, "0.5", kServe, "",
+     "candidate-set fraction kept at level >= 1", "brownout"},
+    {"brownout-skip-tables", kNum, "0.5", kServe, "",
+     "SLS work fraction skipped at level 2", "brownout"},
+    {"low-priority", kNum, "0.2", kServe, "",
+     "fraction of items droppable when degraded", "degrade-batch"},
+    {"help", kFlag, "", kAll, "", "show the options this command reads"},
+};
+
+const FlagSpec &
+spec(std::string_view name)
+{
+    for (const FlagSpec &f : kFlags) {
+        if (name == f.name)
+            return f;
+    }
+    RP_PANIC("--%s is not in the flag table", std::string(name).c_str());
+}
+
+/** Names of the commands in @p scope, space-separated. */
+std::string
+commandNames(unsigned scope)
+{
+    std::string out;
+    for (size_t i = 0; i < std::size(kCommands); ++i) {
+        if (scope & (1u << i))
+            out += (out.empty() ? "" : " ") + std::string(kCommands[i]);
+    }
+    return out;
+}
+
+/**
+ * The parsed command line as the running command sees it. Every read
+ * asserts that the flag's scope includes the command, so a handler
+ * reading a flag its row does not grant panics in the tests instead
+ * of silently widening what the command accepts.
+ */
+class Cli
+{
+  public:
+    Cli(const ArgParser &a, unsigned cmd) : args_(a), command_(cmd) {}
+
+    unsigned command() const { return command_; }
+    bool flag(const char *n) const { return args_.flag(read(n)); }
+    bool set(const char *n) const { return args_.explicitlySet(read(n)); }
+    int64_t i64(const char *n) const { return args_.optionInt(read(n)); }
+    double num(const char *n) const { return args_.optionDouble(read(n)); }
+
+    /** The flag's value, else its env var's, else the default. */
+    std::string str(const char *name) const
+    {
+        const char *env = spec(read(name)).env;
+        env = env ? std::getenv(env) : nullptr;
+        return env && !args_.explicitlySet(name) ? env : args_.option(name);
+    }
+
+  private:
+    const char *read(const char *name) const
+    {
+        RP_ASSERT(spec(name).scope & command_, "%s reads --%s outside "
+                  "its scope", commandNames(command_).c_str(), name);
+        return name;
+    }
+
+    const ArgParser &args_;
+    unsigned command_;
+};
+
+void obsBegin(const Cli &cli);
+void obsEnd(const Cli &cli);
+
+/** The zoo model or alias @p name, if any (main checks --model before
+ *  dispatch, so handlers can take value()). */
+std::optional<ModelConfig>
+findModel(const std::string &name)
+{
+    const std::pair<const char *, ModelConfig (*)()> aliases[] = {
+        {"rmc1", rmc1Small}, {"rmc2", rmc2Small}, {"rmc3", rmc3Small},
+        {"rmc3-dot", rmc3Dot}, {"ncf", ncfConfig}};
     for (const ModelConfig &cfg : allZooModels()) {
         if (cfg.name == name)
             return cfg;
     }
-    if (name == "rmc1")
-        return rmc1Small();
-    if (name == "rmc2")
-        return rmc2Small();
-    if (name == "rmc3")
-        return rmc3Small();
-    if (name == "rmc3-dot")
-        return rmc3Dot();
-    if (name == "ncf")
-        return ncfConfig();
-    RP_FATAL("unknown model '%s' (try: rmc1, rmc2, rmc3, rmc3-dot, ncf, "
-             "or a full zoo name)", name.c_str());
+    for (const auto &[alias, make] : aliases) {
+        if (name == alias)
+            return make();
+    }
+    return std::nullopt;
 }
 
+/** --machine, one of the row's choices. */
 MachineSpec
 machineByName(const std::string &name)
 {
     for (const MachineSpec &m : fleetMachines()) {
-        std::string lower = m.name;
-        for (char &c : lower)
-            c = static_cast<char>(std::tolower(c));
-        if (lower == name)
+        if (strcasecmp(m.name.c_str(), name.c_str()) == 0)
             return m;
     }
-    RP_FATAL("unknown machine '%s' (try: haswell, broadwell, skylake)",
-             name.c_str());
+    RP_PANIC("machine '%s' is not in the fleet", name.c_str());
 }
 
 int
-cmdTime(ArgParser &args)
+cmdTime(const Cli &cli)
 {
-    obsBegin(args);
-    ModelConfig cfg = modelByName(args.option("model"));
-    MachineSpec machine = machineByName(args.option("machine"));
+    obsBegin(cli);
+    ModelConfig cfg = findModel(cli.str("model")).value();
+    MachineSpec machine = machineByName(cli.str("machine"));
     TimerOptions opts;
-    opts.batch = args.optionInt("batch");
-    opts.zipfAlpha = args.optionDouble("zipf");
-    opts.repeatProb = args.optionDouble("repeat");
-    opts.seed = static_cast<uint64_t>(args.optionInt("seed"));
+    opts.batch = cli.i64("batch");
+    opts.zipfAlpha = cli.num("zipf");
+    opts.repeatProb = cli.num("repeat");
+    opts.seed = static_cast<uint64_t>(cli.i64("seed"));
     opts.backend = activeBackendConfig();
 
     ModelTimer timer(machine, cfg, opts);
     ModelTiming t = timer.steadyState(
-        static_cast<int>(args.optionInt("iters")),
-        static_cast<int>(args.optionInt("iters")));
+        static_cast<int>(cli.i64("iters")),
+        static_cast<int>(cli.i64("iters")));
 
     std::printf("%s on %s, batch %lld:\n", cfg.name.c_str(),
                 machine.name.c_str(),
@@ -169,20 +442,19 @@ cmdTime(ArgParser &args)
         std::printf("    %-11s %8.3f ms (%5.1f%%)\n", opKindName(kind),
                     secs * 1e3, 100.0 * secs / t.totalSeconds());
     }
-    obsEnd(args);
+    obsEnd(cli);
     return 0;
 }
 
 int
-cmdColocate(ArgParser &args)
+cmdColocate(const Cli &cli)
 {
-    ModelConfig cfg = modelByName(args.option("model"));
-    MachineSpec machine = machineByName(args.option("machine"));
-    auto max_tenants =
-        static_cast<uint32_t>(args.optionInt("max-tenants"));
+    ModelConfig cfg = findModel(cli.str("model")).value();
+    MachineSpec machine = machineByName(cli.str("machine"));
+    auto max_tenants = static_cast<uint32_t>(cli.i64("max-tenants"));
     TimerOptions opts;
-    opts.batch = args.optionInt("batch");
-    opts.seed = static_cast<uint64_t>(args.optionInt("seed"));
+    opts.batch = cli.i64("batch");
+    opts.seed = static_cast<uint64_t>(cli.i64("seed"));
     opts.backend = activeBackendConfig();
 
     std::printf("co-locating %s on %s (batch %lld):\n", cfg.name.c_str(),
@@ -204,299 +476,194 @@ cmdColocate(ArgParser &args)
 
 /** Memory-corruption channel of the failure model (shard). */
 CorruptionOptions
-corruptionFromArgs(ArgParser &args)
+corruptionFromArgs(const Cli &cli)
 {
     CorruptionOptions c;
-    c.ratePerSec = args.optionDouble("corrupt-rate");
-    c.zipfAlpha = args.optionDouble("corrupt-zipf");
-    c.multiBitFraction = args.optionDouble("corrupt-multi-bit");
-    c.stuckRowFraction = args.optionDouble("corrupt-stuck-row");
-    c.fcFraction = args.optionDouble("corrupt-fc");
+    c.ratePerSec = cli.num("corrupt-rate");
+    c.zipfAlpha = cli.num("corrupt-zipf");
+    c.multiBitFraction = cli.num("corrupt-multi-bit");
+    c.stuckRowFraction = cli.num("corrupt-stuck-row");
+    c.fcFraction = cli.num("corrupt-fc");
     return c;
 }
 
 /** SDC detection/recovery ladder options (shard). */
 SdcOptions
-sdcFromArgs(ArgParser &args)
+sdcFromArgs(const Cli &cli)
 {
     SdcOptions s;
-    s.scrubIntervalSeconds = args.optionDouble("scrub-interval-ms") / 1e3;
-    s.inlineSampleRate = args.optionDouble("integrity-sample");
-    s.outputGuards = args.flag("integrity-guards");
-    s.canaryIntervalSeconds =
-        args.optionDouble("integrity-canary-ms") / 1e3;
-    s.repairRttSeconds = args.optionDouble("repair-rtt-us") / 1e6;
-    s.repairBandwidthGBps = args.optionDouble("repair-gbps");
-    s.drainDensity = args.optionDouble("drain-density");
+    s.scrubIntervalSeconds = cli.num("scrub-interval-ms") / 1e3;
+    s.inlineSampleRate = cli.num("integrity-sample");
+    s.outputGuards = cli.flag("integrity-guards");
+    s.canaryIntervalSeconds = cli.num("integrity-canary-ms") / 1e3;
+    s.repairRttSeconds = cli.num("repair-rtt-us") / 1e6;
+    s.repairBandwidthGBps = cli.num("repair-gbps");
+    s.drainDensity = cli.num("drain-density");
     return s;
 }
 
-/** Failure-model options shared by serve and shard. */
+/** Straggler and load-spike channels of the failure model (serve). */
 FaultOptions
-faultsFromArgs(ArgParser &args)
+loadFaultsFromArgs(const Cli &cli)
 {
     FaultOptions f;
-    f.stragglerProb = args.optionDouble("straggler-prob");
-    f.stragglerAlpha = args.optionDouble("straggler-alpha");
-    f.stragglerMin = args.optionDouble("straggler-min");
-    f.shardMtbfSeconds = args.optionDouble("mtbf-ms") / 1e3;
-    f.shardMttrSeconds = args.optionDouble("mttr-ms") / 1e3;
-    f.spikeRatePerSec = args.optionDouble("spike-rate");
-    f.spikeDurationSeconds = args.optionDouble("spike-ms") / 1e3;
-    f.spikeFactor = args.optionDouble("spike-factor");
-    f.seed = static_cast<uint64_t>(args.optionInt("fault-seed"));
-    f.corruption = corruptionFromArgs(args);
+    f.stragglerProb = cli.num("straggler-prob");
+    f.stragglerAlpha = cli.num("straggler-alpha");
+    f.stragglerMin = cli.num("straggler-min");
+    f.spikeRatePerSec = cli.num("spike-rate");
+    f.spikeDurationSeconds = cli.num("spike-ms") / 1e3;
+    f.spikeFactor = cli.num("spike-factor");
+    f.seed = static_cast<uint64_t>(cli.i64("fault-seed"));
+    return f;
+}
+
+/** The full failure model: adds shard failures and corruption (shard). */
+FaultOptions
+shardFaultsFromArgs(const Cli &cli)
+{
+    FaultOptions f = loadFaultsFromArgs(cli);
+    f.shardMtbfSeconds = cli.num("mtbf-ms") / 1e3;
+    f.shardMttrSeconds = cli.num("mttr-ms") / 1e3;
+    f.corruption = corruptionFromArgs(cli);
     return f;
 }
 
 /** Retry/hedge policies shared by the shard paths. */
 RetryPolicy
-retryFromArgs(ArgParser &args)
+retryFromArgs(const Cli &cli)
 {
     RetryPolicy retry;
-    retry.timeoutSeconds = args.optionDouble("timeout-ms") / 1e3;
-    retry.maxRetries = static_cast<int>(args.optionInt("retries"));
+    retry.timeoutSeconds = cli.num("timeout-ms") / 1e3;
+    retry.maxRetries = static_cast<int>(cli.i64("retries"));
     return retry;
 }
 
 HedgePolicy
-hedgeFromArgs(ArgParser &args)
+hedgeFromArgs(const Cli &cli)
 {
     HedgePolicy hedge;
-    hedge.enabled = args.flag("hedge");
-    hedge.delaySeconds = args.optionDouble("hedge-ms") / 1e3;
+    hedge.enabled = cli.flag("hedge");
+    hedge.delaySeconds = cli.num("hedge-ms") / 1e3;
     return hedge;
 }
 
 ReplicaOptions
-replicasFromArgs(ArgParser &args, std::string *error)
+replicasFromArgs(const Cli &cli)
 {
     ReplicaOptions r;
-    int64_t replicas = args.optionInt("replicas");
-    if (replicas < 1) {
-        *error = strprintf("--replicas must be >= 1 (got %lld)",
-                           static_cast<long long>(replicas));
-        return r;
-    }
-    r.replicas = static_cast<uint32_t>(replicas);
-    if (!routerPolicyFromName(args.option("router"), &r.router)) {
-        *error = strprintf("unknown --router '%s' (try: primary-first, "
-                           "least-loaded, p2c)",
-                           args.option("router").c_str());
-        return r;
-    }
-    r.breaker.errorThreshold =
-        static_cast<int>(args.optionInt("breaker-errors"));
-    r.breaker.openSeconds = args.optionDouble("breaker-open-ms") / 1e3;
-    r.breaker.probeAdmitProb = args.optionDouble("breaker-probe");
+    r.replicas = static_cast<uint32_t>(cli.i64("replicas"));
+    routerPolicyFromName(cli.str("router"), &r.router); // a table choice
+    r.breaker.errorThreshold = static_cast<int>(cli.i64("breaker-errors"));
+    r.breaker.openSeconds = cli.num("breaker-open-ms") / 1e3;
+    r.breaker.probeAdmitProb = cli.num("breaker-probe");
     r.breaker.closeAfterProbes =
-        static_cast<int>(args.optionInt("breaker-close-probes"));
-    r.warmupSeconds = args.optionDouble("warmup-ms") / 1e3;
-    r.warmupFactor = args.optionDouble("warmup-factor");
-    r.seed = static_cast<uint64_t>(args.optionInt("fault-seed"));
+        static_cast<int>(cli.i64("breaker-close-probes"));
+    r.warmupSeconds = cli.num("warmup-ms") / 1e3;
+    r.warmupFactor = cli.num("warmup-factor");
+    r.seed = static_cast<uint64_t>(cli.i64("fault-seed"));
     return r;
 }
 
 BrownoutOptions
-brownoutFromArgs(ArgParser &args)
+brownoutFromArgs(const Cli &cli)
 {
     BrownoutOptions b;
-    b.enabled = args.flag("brownout");
-    b.enterBurn = args.optionDouble("brownout-enter");
-    b.escalationGrowth = args.optionDouble("brownout-growth");
-    b.exitFraction = args.optionDouble("brownout-exit");
-    b.dwellSeconds = args.optionDouble("brownout-dwell-ms") / 1e3;
-    b.truncateFraction = args.optionDouble("brownout-truncate");
-    b.skipTableFraction = args.optionDouble("brownout-skip-tables");
+    b.enabled = cli.flag("brownout");
+    b.enterBurn = cli.num("brownout-enter");
+    b.escalationGrowth = cli.num("brownout-growth");
+    b.exitFraction = cli.num("brownout-exit");
+    b.dwellSeconds = cli.num("brownout-dwell-ms") / 1e3;
+    b.truncateFraction = cli.num("brownout-truncate");
+    b.skipTableFraction = cli.num("brownout-skip-tables");
     return b;
 }
 
-/** Lower bound on one numeric flag. */
-struct FlagBound
+AdmissionOptions
+admissionFromArgs(const Cli &cli)
 {
-    const char *flag;
-    double minimum;
-    bool exclusive; ///< the value must exceed @c minimum, not just reach it
-};
+    AdmissionOptions a;
+    a.enabled = cli.flag("admission");
+    a.maxWaitFraction = cli.num("admit-wait");
+    return a;
+}
 
-/**
- * Every command checks every bound before dispatch, so an out-of-range
- * value exits 2 with a message instead of tripping an invariant inside
- * a model or generator. All defaults satisfy them.
- */
-constexpr FlagBound kFlagBounds[] = {
-    {"batch", 1, false},         {"iters", 1, false},
-    {"items", 1, false},         {"workers", 1, false},
-    {"nodes", 1, false},         {"rows", 1, false},
-    {"rows-cap", 1, false},      {"cluster-replicas", 1, false},
-    {"degrade-batch", 0, false}, {"chaos-events", 0, false},
-    {"zipf", 0, true},           {"rate", 0, true},
-    {"sla-ms", 0, true},
-};
-
-/** First violated entry of kFlagBounds as a message, or "". */
-std::string
-checkFlagBounds(ArgParser &args)
+DegradeOptions
+degradeFromArgs(const Cli &cli)
 {
-    for (const FlagBound &bound : kFlagBounds) {
-        double value = args.optionDouble(bound.flag);
-        if (bound.exclusive ? value > bound.minimum
-                            : value >= bound.minimum)
-            continue;
-        return strprintf("--%s must be %s %g (got %s)", bound.flag,
-                         bound.exclusive ? ">" : ">=", bound.minimum,
-                         args.option(bound.flag).c_str());
-    }
-    return "";
+    DegradeOptions d;
+    d.enabled = cli.i64("degrade-batch") > 0;
+    d.degradedMaxBatch = cli.i64("degrade-batch");
+    d.backlogFactor = cli.num("backlog-factor");
+    d.lowPriorityFraction = cli.num("low-priority");
+    return d;
 }
 
 /**
- * Rejects nonsensical serve/shard configurations (impossible
- * retry/hedge combinations, bad replica counts, knobs the command
- * ignores) with a clear message; the caller exits with code 2.
+ * The checks that span several flags or call a domain validator, for
+ * serve and shard; the flag table has checked each value on its own.
+ * Returns the first problem as a message (main exits 2).
  */
 std::string
-validateServingArgs(ArgParser &args, const std::string &command)
+validateServingArgs(const Cli &cli)
 {
-    std::string err = faultsFromArgs(args).validate();
-    if (!err.empty())
-        return err;
-    err = validateDeadlineSeconds(args.optionDouble("deadline-ms") / 1e3);
-    if (!err.empty())
-        return err;
-    if (args.optionDouble("mtbf-ms") > 0.0 &&
-        args.optionDouble("mttr-ms") <= 0.0) {
-        return strprintf("--mttr-ms must be positive when --mtbf-ms "
-                         "enables shard failures (got %g)",
-                         args.optionDouble("mttr-ms"));
-    }
-    err = obs::validateRequestLogArgs(
-        static_cast<int>(args.optionInt("request-log-k")),
-        args.optionDouble("request-log-window-ms") / 1e3,
-        !args.option("request-log-out").empty() ||
-            !args.option("exemplars-out").empty(),
-        args.explicitlySet("request-log-k"),
-        args.explicitlySet("request-log-window-ms"));
-    if (!err.empty())
-        return err;
-
-    if (command == "serve") {
-        AdmissionOptions admission;
-        admission.enabled = args.flag("admission");
-        admission.maxWaitFraction = args.optionDouble("admit-wait");
-        if (!(err = validateAdmissionOptions(admission)).empty())
-            return err;
-        DegradeOptions degrade;
-        degrade.enabled = args.optionInt("degrade-batch") > 0;
-        degrade.degradedMaxBatch = args.optionInt("degrade-batch");
-        degrade.backlogFactor = args.optionDouble("backlog-factor");
-        degrade.lowPriorityFraction = args.optionDouble("low-priority");
-        if (!(err = validateDegradeOptions(degrade)).empty())
-            return err;
-        BrownoutOptions brownout = brownoutFromArgs(args);
-        if (!brownout.enabled) {
-            static const char *const kBrownoutKnobs[] = {
-                "brownout-enter", "brownout-growth", "brownout-exit",
-                "brownout-dwell-ms", "brownout-truncate",
-                "brownout-skip-tables"};
-            for (const char *knob : kBrownoutKnobs) {
-                if (args.explicitlySet(knob)) {
-                    return strprintf("--%s has no effect without "
-                                     "--brownout", knob);
-                }
-            }
-        }
-        if (!(err = brownout.validate()).empty())
-            return err;
-        // The corruption channel and the SDC defense ladder run in the
-        // sharded loop only; reject them up front like --brownout on
-        // shard rather than silently ignoring the knobs.
-        static const char *const kSdcKnobs[] = {
-            "corrupt-rate", "corrupt-zipf", "corrupt-multi-bit",
-            "corrupt-stuck-row", "corrupt-fc", "scrub-interval-ms",
-            "integrity-sample", "integrity-canary-ms", "repair-rtt-us",
-            "repair-gbps", "drain-density", "fault-log-out"};
-        for (const char *knob : kSdcKnobs) {
-            if (args.explicitlySet(knob)) {
-                return strprintf("--%s applies to shard only (the SDC "
-                                 "defense runs in the sharded loop)",
-                                 knob);
-            }
-        }
-        if (args.flag("integrity-guards"))
-            return "--integrity-guards applies to shard only (the SDC "
-                   "defense runs in the sharded loop)";
-        if (args.explicitlySet("corrupt-events"))
-            return "--corrupt-events applies to eval only (functional "
-                   "bit flips against real tables)";
-        int64_t cluster = args.optionInt("cluster-replicas");
-        int64_t healthy = args.optionInt("healthy-replicas");
-        if (healthy < 0 || healthy > cluster)
-            return strprintf("--healthy-replicas must be in [0, "
+    bool serve = cli.command() == kServe;
+    FaultOptions faults =
+        serve ? loadFaultsFromArgs(cli) : shardFaultsFromArgs(cli);
+    std::vector<std::string> errors = {
+        faults.validate(),
+        validateDeadlineSeconds(cli.num("deadline-ms") / 1e3),
+        obs::validateRequestLogArgs(
+            static_cast<int>(cli.i64("request-log-k")),
+            cli.num("request-log-window-ms") / 1e3,
+            !cli.str("request-log-out").empty() ||
+                !cli.str("exemplars-out").empty(),
+            cli.set("request-log-k"), cli.set("request-log-window-ms"))};
+    if (serve) {
+        int64_t cluster = cli.i64("cluster-replicas");
+        int64_t healthy = cli.i64("healthy-replicas");
+        errors.insert(
+            errors.end(),
+            {validateAdmissionOptions(admissionFromArgs(cli)),
+             validateDegradeOptions(degradeFromArgs(cli)),
+             brownoutFromArgs(cli).validate(),
+             healthy <= cluster
+                 ? ""
+                 : strprintf("--healthy-replicas must be in [0, "
                              "--cluster-replicas=%lld] (got %lld; 0 "
                              "means all healthy)",
                              static_cast<long long>(cluster),
-                             static_cast<long long>(healthy));
-    }
-
-    if (command == "shard") {
-        if (args.flag("brownout"))
-            return "--brownout applies to serve only (shard degrades "
-                   "via --deadline-ms, retries, and hedges)";
-        RetryPolicy retry = retryFromArgs(args);
-        if (!(err = validateRetryPolicy(retry)).empty())
-            return err;
-        if (!(err = validateHedgePolicy(hedgeFromArgs(args), retry))
-                 .empty())
-            return err;
-        // Retries that could never fire are a configuration mistake,
-        // but only when the user actually asked for them.
-        if (args.explicitlySet("retries") && retry.maxRetries > 0 &&
-            retry.timeoutSeconds <= 0.0 &&
-            args.optionDouble("mtbf-ms") <= 0.0) {
-            return "--retries can never trigger with a zero "
-                   "--timeout-ms and no shard failures (--mtbf-ms 0); "
-                   "set a timeout, enable failures, or use --retries 0";
-        }
-        std::string replica_err;
-        ReplicaOptions replicas = replicasFromArgs(args, &replica_err);
-        if (!replica_err.empty())
-            return replica_err;
-        if (!(err = replicas.validate()).empty())
-            return err;
-        if (args.optionDouble("chaos-ms") <= 0.0 &&
-            args.optionInt("chaos-events") > 0) {
-            return strprintf("--chaos-ms must be positive when chaos "
+                             static_cast<long long>(healthy))});
+    } else {
+        RetryPolicy retry = retryFromArgs(cli);
+        bool down = faults.shardMtbfSeconds > 0.0;
+        errors.insert(
+            errors.end(),
+            {down && faults.shardMttrSeconds <= 0.0
+                 ? strprintf("--mttr-ms must be positive when --mtbf-ms "
+                             "enables shard failures (got %g)",
+                             cli.num("mttr-ms"))
+                 : "",
+             validateRetryPolicy(retry),
+             validateHedgePolicy(hedgeFromArgs(cli), retry),
+             // Retries that could never fire are a mistake, but only
+             // when the user actually asked for them.
+             cli.set("retries") && retry.maxRetries > 0 &&
+                     retry.timeoutSeconds <= 0.0 && !down
+                 ? "--retries can never trigger with a zero --timeout-ms "
+                   "and no shard failures (--mtbf-ms 0); set a timeout, "
+                   "enable failures, or use --retries 0"
+                 : "",
+             replicasFromArgs(cli).validate(),
+             cli.num("chaos-ms") <= 0.0 && cli.i64("chaos-events") > 0
+                 ? strprintf("--chaos-ms must be positive when chaos "
                              "windows are scripted (got %g)",
-                             args.optionDouble("chaos-ms"));
-        }
-        if (args.explicitlySet("corrupt-events"))
-            return "--corrupt-events applies to eval only (functional "
-                   "bit flips against real tables)";
-        // Sub-knobs of the corruption channel do nothing without an
-        // event rate, mirroring the brownout-knob convention.
-        if (args.optionDouble("corrupt-rate") <= 0.0) {
-            static const char *const kCorruptKnobs[] = {
-                "corrupt-zipf", "corrupt-multi-bit",
-                "corrupt-stuck-row", "corrupt-fc"};
-            for (const char *knob : kCorruptKnobs) {
-                if (args.explicitlySet(knob)) {
-                    return strprintf("--%s has no effect without "
-                                     "--corrupt-rate", knob);
-                }
-            }
-        }
-        // 0 is the "off" default; an explicit rate must be usable.
-        double sample = args.optionDouble("integrity-sample");
-        if (args.explicitlySet("integrity-sample") &&
-            (sample <= 0.0 || sample > 1.0)) {
-            return strprintf("--integrity-sample must be in (0, 1] "
-                             "(got %g)", sample);
-        }
-        if (!(err = sdcFromArgs(args).validate()).empty())
-            return err;
+                             cli.num("chaos-ms"))
+                 : "",
+             sdcFromArgs(cli).validate()});
     }
-    return "";
+    auto bad = std::find_if(errors.begin(), errors.end(),
+                            [](const std::string &e) { return !e.empty(); });
+    return bad == errors.end() ? "" : *bad;
 }
 
 /**
@@ -507,39 +674,38 @@ validateServingArgs(ArgParser &args, const std::string &command)
  * table on stdout).
  */
 void
-obsBegin(ArgParser &args)
+obsBegin(const Cli &cli)
 {
     obs::MetricsRegistry::global().reset();
-    if (!args.option("trace-out").empty()) {
+    if (!cli.str("trace-out").empty()) {
         obs::Tracer::global().clear();
         obs::Tracer::global().setEnabled(true);
     }
-    bool want_timeseries = !args.option("timeseries-out").empty();
-    if (args.flag("counters") || want_timeseries) {
+    bool want_timeseries = !cli.str("timeseries-out").empty();
+    if (cli.flag("counters") || want_timeseries) {
         obs::HwTelemetry::global().reset();
         obs::HwTelemetry::global().setEnabled(true);
     }
     if (want_timeseries) {
         obs::TimeSeriesOptions topts;
-        topts.intervalSeconds =
-            args.optionDouble("timeseries-interval-ms") / 1e3;
+        topts.intervalSeconds = cli.num("timeseries-interval-ms") / 1e3;
         obs::TimeSeriesSampler::global().configure(topts);
         obs::TimeSeriesSampler::global().setEnabled(true);
     }
-    if (!args.option("request-log-out").empty() ||
-        !args.option("exemplars-out").empty()) {
+    // The request log records the serving lanes only.
+    if ((cli.command() & kServing) &&
+        (!cli.str("request-log-out").empty() ||
+         !cli.str("exemplars-out").empty())) {
         obs::RequestLogOptions ropts;
-        ropts.slowestK =
-            static_cast<int>(args.optionInt("request-log-k"));
-        ropts.windowSeconds =
-            args.optionDouble("request-log-window-ms") / 1e3;
+        ropts.slowestK = static_cast<int>(cli.i64("request-log-k"));
+        ropts.windowSeconds = cli.num("request-log-window-ms") / 1e3;
         obs::RequestLogger::global().configure(ropts);
         obs::RequestLogger::global().setEnabled(true);
     }
 }
 
 void
-obsEnd(ArgParser &args)
+obsEnd(const Cli &cli)
 {
     // Export telemetry into the registry before the snapshot so the
     // metrics file carries the final counter values (check_trace.py
@@ -555,7 +721,7 @@ obsEnd(ArgParser &args)
     obs::TimeSeriesSampler &sampler = obs::TimeSeriesSampler::global();
     if (sampler.enabled()) {
         sampler.exportTo(obs::MetricsRegistry::global());
-        const std::string &ts_path = args.option("timeseries-out");
+        const std::string &ts_path = cli.str("timeseries-out");
         if (!ts_path.empty() && sampler.writeFile(ts_path)) {
             std::printf("  timeseries:    wrote %s (%zu samples)\n",
                         ts_path.c_str(), sampler.size());
@@ -567,12 +733,12 @@ obsEnd(ArgParser &args)
         // gauges land in --metrics-out; a run without logging never
         // calls exportTo, keeping its metric set byte-identical.
         rlog.exportTo(obs::MetricsRegistry::global());
-        const std::string &rl_path = args.option("request-log-out");
+        const std::string &rl_path = cli.str("request-log-out");
         if (!rl_path.empty() && rlog.writeFile(rl_path)) {
             std::printf("  request log:   wrote %s (%zu records)\n",
                         rl_path.c_str(), rlog.size());
         }
-        const std::string &ex_path = args.option("exemplars-out");
+        const std::string &ex_path = cli.str("exemplars-out");
         if (!ex_path.empty() && rlog.writeExemplars(ex_path)) {
             std::printf("  exemplars:     wrote %s\n", ex_path.c_str());
         }
@@ -582,7 +748,7 @@ obsEnd(ArgParser &args)
     rlog.setEnabled(false);
 
     obs::Tracer &tracer = obs::Tracer::global();
-    const std::string &trace_path = args.option("trace-out");
+    const std::string &trace_path = cli.str("trace-out");
     if (!trace_path.empty()) {
         tracer.setEnabled(false);
         if (tracer.writeFile(trace_path)) {
@@ -590,56 +756,43 @@ obsEnd(ArgParser &args)
                         trace_path.c_str(), tracer.snapshot().size());
         }
     }
-    const std::string &metrics_path = args.option("metrics-out");
+    const std::string &metrics_path = cli.str("metrics-out");
     if (metrics_path.empty())
         return;
     obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
-    std::string json = snap.toJson();
-    std::FILE *f = std::fopen(metrics_path.c_str(), "w");
-    if (!f) {
+    if (std::ofstream(metrics_path) << snap.toJson())
+        std::printf("  metrics:       wrote %s\n", metrics_path.c_str());
+    else
         std::fprintf(stderr, "warning: cannot write %s\n",
                      metrics_path.c_str());
-    } else {
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-        std::printf("  metrics:       wrote %s\n", metrics_path.c_str());
-    }
     std::printf("metrics summary:\n%s", snap.table().c_str());
 }
 
 int
-cmdServe(ArgParser &args)
+cmdServe(const Cli &cli)
 {
-    obsBegin(args);
-    ModelConfig cfg = modelByName(args.option("model"));
-    MachineSpec machine = machineByName(args.option("machine"));
+    obsBegin(cli);
+    ModelConfig cfg = findModel(cli.str("model")).value();
+    MachineSpec machine = machineByName(cli.str("machine"));
     ServerOptions sopts;
-    sopts.numWorkers = static_cast<uint32_t>(args.optionInt("workers"));
-    sopts.maxBatch = args.optionInt("batch");
-    sopts.slaSeconds = args.optionDouble("sla-ms") / 1e3;
-    sopts.admission.enabled = args.flag("admission");
-    sopts.admission.maxWaitFraction = args.optionDouble("admit-wait");
-    sopts.degrade.enabled = args.optionInt("degrade-batch") > 0;
-    sopts.degrade.degradedMaxBatch = args.optionInt("degrade-batch");
-    sopts.degrade.backlogFactor = args.optionDouble("backlog-factor");
-    sopts.degrade.lowPriorityFraction = args.optionDouble("low-priority");
-    sopts.clusterReplicas =
-        static_cast<uint32_t>(args.optionInt("cluster-replicas"));
-    sopts.healthyReplicas =
-        static_cast<uint32_t>(args.optionInt("healthy-replicas"));
-    sopts.deadlineSeconds = args.optionDouble("deadline-ms") / 1e3;
-    sopts.brownout = brownoutFromArgs(args);
-    FaultOptions faults = faultsFromArgs(args);
-    faults.shardMtbfSeconds = 0.0; // shard failures only apply to shard
-    sopts.faults = faults;
+    sopts.numWorkers = static_cast<uint32_t>(cli.i64("workers"));
+    sopts.maxBatch = cli.i64("batch");
+    sopts.slaSeconds = cli.num("sla-ms") / 1e3;
+    sopts.admission = admissionFromArgs(cli);
+    sopts.degrade = degradeFromArgs(cli);
+    sopts.clusterReplicas = static_cast<uint32_t>(cli.i64("cluster-replicas"));
+    sopts.healthyReplicas = static_cast<uint32_t>(cli.i64("healthy-replicas"));
+    sopts.deadlineSeconds = cli.num("deadline-ms") / 1e3;
+    sopts.brownout = brownoutFromArgs(cli);
+    sopts.faults = loadFaultsFromArgs(cli);
 
     TimerOptions topts;
-    topts.seed = static_cast<uint64_t>(args.optionInt("seed"));
+    topts.seed = static_cast<uint64_t>(cli.i64("seed"));
     topts.backend = activeBackendConfig();
     Server server(machine, cfg, topts, sopts);
     ServingStats stats = server.runOpenLoop(
-        args.optionDouble("rate"),
-        static_cast<uint64_t>(args.optionInt("items")));
+        cli.num("rate"),
+        static_cast<uint64_t>(cli.i64("items")));
 
     std::printf("serving %s on %s: %u workers, max batch %lld, SLA "
                 "%.1f ms\n", cfg.name.c_str(), machine.name.c_str(),
@@ -654,7 +807,7 @@ cmdServe(ArgParser &args)
                     static_cast<double>(sopts.clusterReplicas) / healthy);
     }
     std::printf("  offered rate:  %10.0f items/s\n",
-                args.optionDouble("rate"));
+                cli.num("rate"));
     if (sopts.deadlineSeconds > 0.0) {
         std::printf("  deadline:      %10.1f ms budget%s\n",
                     sopts.deadlineSeconds * 1e3,
@@ -666,7 +819,7 @@ cmdServe(ArgParser &args)
                    obs::MetricsRegistry::global().snapshot())
                    .c_str(),
                stdout);
-    obsEnd(args);
+    obsEnd(cli);
     return 0;
 }
 
@@ -737,37 +890,38 @@ printSdcSummary(const RunResult &r)
     }
 }
 
-/** Write the reproducibility fault log when --fault-log-out is set. */
-void
-writeFaultLog(ArgParser &args, const FaultLog &log)
+/** Writes the fault log (--fault-log-out) and metrics of a shard run. */
+int
+finishShard(const Cli &cli, const RunResult &r, const FaultLog &log)
 {
-    const std::string &path = args.option("fault-log-out");
-    if (path.empty())
-        return;
-    log.writeFile(path);
-    std::printf("  fault log:     wrote %s (%zu events)\n", path.c_str(),
-                log.size());
+    const std::string &path = cli.str("fault-log-out");
+    if (!path.empty()) {
+        log.writeFile(path);
+        std::printf("  fault log:     wrote %s (%zu events)\n",
+                    path.c_str(), log.size());
+    }
+    r.exportTo(obs::MetricsRegistry::global());
+    obsEnd(cli);
+    return 0;
 }
 
 int
-cmdShard(ArgParser &args)
+cmdShard(const Cli &cli)
 {
-    obsBegin(args);
-    ModelConfig cfg = modelByName(args.option("model"));
-    MachineSpec machine = machineByName(args.option("machine"));
+    obsBegin(cli);
+    ModelConfig cfg = findModel(cli.str("model")).value();
+    MachineSpec machine = machineByName(cli.str("machine"));
     TimerOptions topts;
-    topts.batch = args.optionInt("batch");
-    topts.seed = static_cast<uint64_t>(args.optionInt("seed"));
+    topts.batch = cli.i64("batch");
+    topts.seed = static_cast<uint64_t>(cli.i64("seed"));
     topts.backend = activeBackendConfig();
-    auto nodes = static_cast<uint32_t>(args.optionInt("nodes"));
-    int iters = static_cast<int>(args.optionInt("iters"));
+    auto nodes = static_cast<uint32_t>(cli.i64("nodes"));
+    int iters = static_cast<int>(cli.i64("iters"));
 
-    FaultOptions faults = faultsFromArgs(args);
-    RetryPolicy retry = retryFromArgs(args);
-    HedgePolicy hedge = hedgeFromArgs(args);
-    std::string replica_err;
-    ReplicaOptions replicas = replicasFromArgs(args, &replica_err);
-    RP_ASSERT(replica_err.empty(), "%s", replica_err.c_str());
+    FaultOptions faults = shardFaultsFromArgs(cli);
+    RetryPolicy retry = retryFromArgs(cli);
+    HedgePolicy hedge = hedgeFromArgs(cli);
+    ReplicaOptions replicas = replicasFromArgs(cli);
 
     ShardedInference sim(machine, cfg, nodes, NetworkConfig{}, topts);
 
@@ -787,14 +941,14 @@ cmdShard(ArgParser &args)
     ropts.faults = faults;
     ropts.retry = retry;
     ropts.hedge = hedge;
-    ropts.deadlineSeconds = args.optionDouble("deadline-ms") / 1e3;
+    ropts.deadlineSeconds = cli.num("deadline-ms") / 1e3;
     if (ropts.deadlineSeconds > 0.0) {
         std::printf("  deadline:      %10.1f ms budget per inference\n",
                     ropts.deadlineSeconds * 1e3);
     }
-    ropts.sdc = sdcFromArgs(args);
+    ropts.sdc = sdcFromArgs(cli);
     FaultLog fault_log;
-    if (!args.option("fault-log-out").empty())
+    if (!cli.str("fault-log-out").empty())
         ropts.faultLog = &fault_log;
     if (faults.corruption.enabled() || ropts.sdc.anyDefense()) {
         std::printf("  sdc:           %.1f corruptions/s, scrub %.1f ms, "
@@ -806,35 +960,31 @@ cmdShard(ArgParser &args)
                     ropts.sdc.canaryIntervalSeconds * 1e3);
     }
 
+    // With one copy per shard only the single-copy mitigations run (a
+    // hedge assumes an implicit spare replica) and `ropts.replicas`
+    // stays disengaged.
+    bool failover = replicas.replicas > 1;
     ChaosSchedule chaos;
-    auto chaos_events =
-        static_cast<uint32_t>(args.optionInt("chaos-events"));
-    if (replicas.replicas <= 1) {
-        // Single-copy path: PR-1 mitigations only (a hedge assumes an
-        // implicit spare replica). `ropts.replicas` stays disengaged.
-        RunResult r = sim.run(ropts);
-        printResilientResult(r);
-        printSdcSummary(r);
-        writeFaultLog(args, fault_log);
-        r.exportTo(obs::MetricsRegistry::global());
-        obsEnd(args);
-        return 0;
-    }
-
-    ropts.replicas = replicas;
-    if (chaos_events > 0) {
+    auto chaos_events = static_cast<uint32_t>(cli.i64("chaos-events"));
+    if (failover)
+        ropts.replicas = replicas;
+    if (failover && chaos_events > 0) {
         // Horizon heuristic: virtual time advances by roughly one
         // per-inference latency per iteration; scale from the SLA-ish
         // chaos window length instead of pre-timing the model.
-        double horizon = static_cast<double>(iters) *
-            args.optionDouble("chaos-ms") / 1e3;
+        double horizon = static_cast<double>(iters) * cli.num("chaos-ms") / 1e3;
         chaos = ChaosSchedule::random(
             faults.seed, nodes, replicas.replicas, horizon, chaos_events,
-            args.optionDouble("chaos-ms") / 1e3);
+            cli.num("chaos-ms") / 1e3);
         ropts.chaos = &chaos;
     }
 
     RunResult r = sim.run(ropts);
+    if (!failover) {
+        printResilientResult(r);
+        printSdcSummary(r);
+        return finishShard(cli, r, fault_log);
+    }
 
     std::printf("  failover layer: %u replicas/shard, router %s, "
                 "breaker %d errors -> open %.1f ms, warm-up %.2fx over "
@@ -864,24 +1014,21 @@ cmdShard(ArgParser &args)
     std::printf("  warm-up cost:  %10.3f ms re-filling recovered "
                 "replicas' caches\n", r.warmupPenaltySeconds * 1e3);
     printSdcSummary(r);
-    writeFaultLog(args, fault_log);
-    r.exportTo(obs::MetricsRegistry::global());
-    obsEnd(args);
-    return 0;
+    return finishShard(cli, r, fault_log);
 }
 
 int
-cmdEval(ArgParser &args)
+cmdEval(const Cli &cli)
 {
     // Unlike `time` (the calibrated timing model), this executes the
     // real tensor graph on the thread pool and reports wall-clock
     // throughput — the honest hot path the execution engine serves.
     ModelConfig cfg =
-        modelByName(args.option("model"))
-            .functionalScale(args.optionInt("rows-cap"));
-    int64_t batch = args.optionInt("batch");
-    int iters = static_cast<int>(args.optionInt("iters"));
-    Rng rng(static_cast<uint64_t>(args.optionInt("seed")));
+        findModel(cli.str("model")).value()
+            .functionalScale(cli.i64("rows-cap"));
+    int64_t batch = cli.i64("batch");
+    int iters = static_cast<int>(cli.i64("iters"));
+    Rng rng(static_cast<uint64_t>(cli.i64("seed")));
     RecModel model(cfg, rng);
     ModelInput input = model.randomInput(batch, rng);
 
@@ -890,26 +1037,8 @@ cmdEval(ArgParser &args)
     // inline SLS hook detect and repair whatever the fixed input
     // actually gathers. With --integrity-sample alone the output
     // checksum is bit-identical to an unshielded run.
-    double sample = args.optionDouble("integrity-sample");
-    int64_t flips = args.optionInt("corrupt-events");
-    if (args.explicitlySet("integrity-sample") &&
-        (sample <= 0.0 || sample > 1.0)) {
-        std::fprintf(stderr, "error: --integrity-sample must be in "
-                             "(0, 1] (got %g)\n", sample);
-        return 2;
-    }
-    if (flips < 0) {
-        std::fprintf(stderr, "error: --corrupt-events cannot be "
-                             "negative (got %lld)\n",
-                     static_cast<long long>(flips));
-        return 2;
-    }
-    if (flips > 0 && sample <= 0.0) {
-        std::fprintf(stderr, "error: --corrupt-events needs "
-                             "--integrity-sample to detect and repair "
-                             "the flips\n");
-        return 2;
-    }
+    double sample = cli.num("integrity-sample");
+    int64_t flips = cli.i64("corrupt-events");
     std::vector<std::unique_ptr<IntegrityShield>> shields;
     if (sample > 0.0) {
         IntegrityRuntime &integrity = IntegrityRuntime::global();
@@ -924,7 +1053,7 @@ cmdEval(ArgParser &args)
         }
         if (flips > 0) {
             Rng corrupt_rng(
-                static_cast<uint64_t>(args.optionInt("fault-seed")) ^
+                static_cast<uint64_t>(cli.i64("fault-seed")) ^
                 0x5dc0ffeeb5ULL);
             for (int64_t i = 0; i < flips; ++i) {
                 size_t t = static_cast<size_t>(
@@ -941,7 +1070,7 @@ cmdEval(ArgParser &args)
 
     for (int i = 0; i < 2; ++i)
         (void)model.forward(input); // warm-up
-    obsBegin(args);
+    obsBegin(cli);
     obs::LatencyHistogram batch_hist =
         obs::MetricsRegistry::global().histogram("eval.batch_seconds");
     auto start = std::chrono::steady_clock::now();
@@ -963,7 +1092,7 @@ cmdEval(ArgParser &args)
     std::printf("eval %s (rows capped at %lld), batch %lld, "
                 "%d threads:\n",
                 cfg.name.c_str(),
-                static_cast<long long>(args.optionInt("rows-cap")),
+                static_cast<long long>(cli.i64("rows-cap")),
                 static_cast<long long>(batch), globalThreadCount());
     std::printf("  latency:    %10.3f ms / batch (measured)\n",
                 secs * 1e3);
@@ -1002,69 +1131,63 @@ cmdEval(ArgParser &args)
                         integrity.rowsRepaired()));
         integrity.reset();
     }
-    if (args.flag("dump-kernel-cache"))
+    if (cli.flag("dump-kernel-cache"))
         std::fputs(KernelCache::global().dumpTable().c_str(), stdout);
-    obsEnd(args);
+    obsEnd(cli);
     return 0;
 }
 
 int
-cmdTrace(ArgParser &args)
+cmdTrace(const Cli &cli)
 {
-    TraceProfile profile{"cli", args.optionDouble("zipf"),
-                         args.optionDouble("repeat"), 8192};
-    Rng rng(static_cast<uint64_t>(args.optionInt("seed")));
-    auto gen = makeGenerator(profile, args.optionInt("rows"),
+    TraceProfile profile{"cli", cli.num("zipf"),
+                         cli.num("repeat"), 8192};
+    Rng rng(static_cast<uint64_t>(cli.i64("seed")));
+    auto gen = makeGenerator(profile, cli.i64("rows"),
                              rng.split());
-    auto trace = gen->draw(
-        static_cast<size_t>(args.optionInt("items")));
+    auto trace = gen->draw(static_cast<size_t>(cli.i64("items")));
     std::printf("trace: zipf alpha %.2f, repeat prob %.2f over %lld "
                 "rows\n", profile.zipfAlpha, profile.repeatProb,
-                static_cast<long long>(args.optionInt("rows")));
+                static_cast<long long>(cli.i64("rows")));
     std::printf("  unique sparse IDs: %.1f%% of %zu draws\n",
                 uniqueFraction(trace) * 100.0, trace.size());
     return 0;
 }
 
-/** Slurp a whole file; false (with a message in @p err) on failure. */
+/**
+ * Slurp a whole artifact. An unreadable or empty file (an empty one
+ * renders nothing) prints an error and returns false (exit 2).
+ */
 bool
-readFile(const std::string &path, std::string *out, std::string *err)
+readFile(const std::string &path, std::string *out)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        *err = strprintf("cannot read %s", path.c_str());
-        return false;
-    }
-    out->clear();
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        out->append(buf, n);
-    std::fclose(f);
-    return true;
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    *out = text.str();
+    if (in && !out->empty())
+        return true;
+    std::fprintf(stderr, "error: %s %s\n", in ? "empty artifact" :
+                 "cannot read", path.c_str());
+    return false;
 }
 
 int
-cmdReport(ArgParser &args)
+cmdReport(const Cli &cli)
 {
     obs::ReportInputs inputs;
     std::string err;
-    const struct
-    {
-        const char *flag;
-        std::string *dst;
-    } sources[] = {{"metrics", &inputs.metricsJson},
-                   {"trace", &inputs.traceJson},
-                   {"timeseries", &inputs.timeseriesJsonl}};
+    const std::pair<const char *, std::string *> sources[] = {
+        {"metrics", &inputs.metricsJson},
+        {"trace", &inputs.traceJson},
+        {"timeseries", &inputs.timeseriesJsonl}};
     bool any = false;
-    for (const auto &src : sources) {
-        const std::string &path = args.option(src.flag);
+    for (const auto &[flag, dst] : sources) {
+        const std::string &path = cli.str(flag);
         if (path.empty())
             continue;
-        if (!readFile(path, src.dst, &err)) {
-            std::fprintf(stderr, "error: %s\n", err.c_str());
+        if (!readFile(path, dst))
             return 2;
-        }
         any = true;
     }
     if (!any) {
@@ -1083,36 +1206,22 @@ cmdReport(ArgParser &args)
 }
 
 int
-cmdExplain(ArgParser &args)
+cmdExplain(const Cli &cli)
 {
     obs::ExplainInputs inputs;
     std::string err;
-    const std::string &log_path = args.option("request-log");
+    const std::string &log_path = cli.str("request-log");
     if (log_path.empty()) {
-        std::fprintf(stderr,
-                     "error: explain needs --request-log FILE (a "
-                     "serve/shard --request-log-out artifact); join a "
-                     "--metrics export to cross-check the blame "
-                     "gauges\n");
+        std::fprintf(stderr, "error: explain needs --request-log FILE (a "
+                             "serve/shard --request-log-out artifact)\n");
         return 2;
     }
-    if (!readFile(log_path, &inputs.requestLogJsonl, &err)) {
-        std::fprintf(stderr, "error: %s\n", err.c_str());
+    const std::string &metrics_path = cli.str("metrics");
+    if (!readFile(log_path, &inputs.requestLogJsonl) ||
+        (!metrics_path.empty() &&
+         !readFile(metrics_path, &inputs.metricsJson)))
         return 2;
-    }
-    const std::string &metrics_path = args.option("metrics");
-    if (!metrics_path.empty() &&
-        !readFile(metrics_path, &inputs.metricsJson, &err)) {
-        std::fprintf(stderr, "error: %s\n", err.c_str());
-        return 2;
-    }
-    if (args.optionInt("top") < 1) {
-        std::fprintf(stderr,
-                     "error: --top must be >= 1 (got %lld)\n",
-                     static_cast<long long>(args.optionInt("top")));
-        return 2;
-    }
-    inputs.top = static_cast<int>(args.optionInt("top"));
+    inputs.top = static_cast<int>(cli.i64("top"));
     std::string view = obs::renderExplain(inputs, err);
     if (view.empty()) {
         std::fprintf(stderr, "error: %s\n", err.c_str());
@@ -1123,7 +1232,7 @@ cmdExplain(ArgParser &args)
 }
 
 int
-cmdZoo()
+cmdZoo(const Cli &)
 {
     std::printf("model zoo:\n");
     for (const ModelConfig &cfg : allZooModels()) {
@@ -1148,349 +1257,235 @@ cmdZoo()
     return 0;
 }
 
+/** Why @p value, given as @p what, is unusable for @p f; "" if usable. */
+std::string
+badValue(const FlagSpec &f, const std::string &what,
+         const std::string &value)
+{
+    if (f.kind == kChoice) {
+        if (("|" + std::string(f.domain) + "|").find("|" + value + "|") !=
+            std::string::npos)
+            return "";
+        return strprintf("%s: unknown value '%s' (expected %s)",
+                         what.c_str(), value.c_str(), f.domain);
+    }
+    if (f.kind == kFlag || f.kind == kText)
+        return "";
+    char *end = nullptr;
+    errno = 0;
+    double v = f.kind == kNum
+        ? std::strtod(value.c_str(), &end)
+        : static_cast<double>(std::strtoll(value.c_str(), &end, 10));
+    if (value.empty() || *end != '\0')
+        return strprintf("%s expects %s, got '%s'", what.c_str(),
+                         f.kind == kNum ? "a number" : "an integer",
+                         value.c_str());
+    if (!std::isfinite(v))
+        return strprintf("%s must be finite (got %s)", what.c_str(),
+                         value.c_str());
+    if ((f.kind == kInt64 && errno == ERANGE) ||
+        (f.kind == kInt && std::fabs(v) > INT32_MAX))
+        return strprintf("%s: %s overflows a %d-bit integer", what.c_str(),
+                         value.c_str(), f.kind == kInt ? 32 : 64);
+    if (!*f.domain)
+        return "";
+    // "[lo,hi)": the brackets pick closed or open ends.
+    double lo = std::strtod(f.domain + 1, nullptr);
+    double hi = std::strtod(std::strchr(f.domain, ',') + 1, nullptr);
+    bool open_hi = f.domain[std::strlen(f.domain) - 1] == ')';
+    if ((f.domain[0] == '(' ? v > lo : v >= lo) && (open_hi ? v < hi : v <= hi))
+        return "";
+    return strprintf("%s must be in %s (got %s)", what.c_str(), f.domain,
+                     value.c_str());
+}
+
+/** Whether parent flag @p f is on, so that its children take effect. */
+bool
+active(const Cli &cli, const FlagSpec &f)
+{
+    if (f.kind == kFlag)
+        return cli.flag(f.name);
+    if (f.kind == kText)
+        return !cli.str(f.name).empty();
+    if (f.kind != kChoice)
+        return cli.num(f.name) > 0.0;
+    std::string_view choices = f.domain;
+    return cli.str(f.name) != choices.substr(0, choices.find('|'));
+}
+
+/**
+ * The one generic pre-dispatch check: every given flag must be read by
+ * @p command, parse as its kind, be finite and in range, and have an
+ * active parent (parents precede children in kFlags, so a parent is
+ * checked first); env values must parse too. Returns the first error.
+ */
+std::string
+checkFlags(const ArgParser &args, unsigned command)
+{
+    Cli cli(args, command);
+    for (const FlagSpec &f : kFlags) {
+        bool given = args.explicitlySet(f.name);
+        if (!(f.scope & command)) {
+            if (!given)
+                continue;
+            return strprintf("--%s is not read by %s (it applies to: %s)",
+                             f.name, commandNames(command).c_str(),
+                             commandNames(f.scope).c_str());
+        }
+        std::string err;
+        if (given && f.kind != kFlag)
+            err = badValue(f, std::string("--") + f.name,
+                           args.option(f.name));
+        const char *env = f.env ? std::getenv(f.env) : nullptr;
+        if (err.empty() && env)
+            err = badValue(f, f.env, env);
+        if (!err.empty())
+            return err;
+        if (!given || !f.parent || active(cli, spec(f.parent)))
+            continue;
+        if (spec(f.parent).kind == kChoice)
+            return strprintf("--%s has no effect with --%s=%s", f.name,
+                             f.parent, cli.str(f.parent).c_str());
+        return strprintf("--%s has no effect without --%s", f.name,
+                         f.parent);
+    }
+    return "";
+}
+
+/** Help for one command (its bit), or for all of them (0). */
+std::string
+helpText(unsigned command)
+{
+    std::string out = command
+        ? "usage: recperf " + commandNames(command) + " [options]\n\n"
+          "options:\n"
+        : "usage: recperf <time|colocate|serve|shard|trace|eval|report|"
+          "explain|zoo> [options]\n\n`recperf <command> --help` lists "
+          "only the options that command reads; any other option is "
+          "an error.\n\noptions [commands that read them]:\n";
+    for (const FlagSpec &f : kFlags) {
+        if (command && !(f.scope & command))
+            continue;
+        std::string lhs = f.name, line = f.help;
+        if (f.kind == kChoice)
+            line += strprintf(": %s", f.domain);
+        if (f.env)
+            line += strprintf(" (unset: $%s)", f.env);
+        if (f.kind != kFlag) {
+            lhs += " <v>";
+            line += strprintf(" (default: %s)", f.def);
+        }
+        if (f.kind != kChoice && *f.domain)
+            line += strprintf(" (in %s)", f.domain);
+        if (f.parent)
+            line += strprintf(" (needs --%s)", f.parent);
+        if (!command)
+            line += " [" + commandNames(f.scope) + "]";
+        out += strprintf("  --%-26s %s\n", lhs.c_str(), line.c_str());
+    }
+    return out;
+}
+
+/**
+ * Resolves --backend and --isa (flag > env > default for each) and the
+ * nmp knobs into one validated backend spec and installs it before any
+ * kernel runs; returns the message when the spec is unusable.
+ */
+std::string
+configureBackend(const Cli &cli)
+{
+    BackendConfig backend;
+    std::string err =
+        backendConfigFromSpec(cli.str("backend"), cli.str("isa"), &backend);
+    if (!err.empty())
+        return "--backend/--isa: " + err;
+    if (backend.kind == BackendKind::Nmp) {
+        NmpConfig &nmp = backend.nmp;
+        nmp.ranks = static_cast<uint32_t>(cli.i64("nmp-ranks"));
+        nmp.rankGBps = cli.num("nmp-rank-gbps");
+        nmp.rowAccessNs = cli.num("nmp-row-ns");
+        nmp.linkGBps = cli.num("nmp-link-gbps");
+        nmp.launchUs = cli.num("nmp-launch-us");
+        nmp.minTableBytes =
+            static_cast<uint64_t>(cli.i64("nmp-min-table-kb")) * 1024;
+        nmp.hostLlcFraction = cli.num("nmp-host-llc-frac");
+        // The row's choices are exactly the names the parser accepts.
+        nmpPlacementFromName(cli.str("nmp-placement"), &nmp.placement);
+        if (!(err = nmp.validate()).empty())
+            return "--backend=nmp: " + err;
+    }
+    setActiveBackend(backend);
+    return "";
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> raw(argv + 1, argv + argc);
-    std::string command = raw.empty() ? "help" : raw.front();
-    std::vector<std::string> rest(raw.begin() + (raw.empty() ? 0 : 1),
-                                  raw.end());
+    std::string command = argc > 1 ? argv[1] : "help";
+    std::vector<std::string> rest(argv + std::min(argc, 2), argv + argc);
+    auto named = std::find(std::begin(kCommands), std::end(kCommands),
+                           command);
+    unsigned bit = named == std::end(kCommands)
+        ? 0 : 1u << (named - std::begin(kCommands));
+    if (!bit && command != "help") {
+        std::fprintf(stderr, "error: unknown command '%s'; try: recperf "
+                             "help\n", command.c_str());
+        return 2;
+    }
 
     ArgParser args("recperf " + command,
                    "RecPerf experiment driver (HPCA'20 reproduction)");
-    args.addOption("model", "rmc1", "model: rmc1|rmc2|rmc3|rmc3-dot|ncf");
-    args.addOption("machine", "broadwell",
-                   "machine: haswell|broadwell|skylake");
-    args.addOption("batch", "16", "batch size / max serving batch");
-    args.addOption("iters", "20", "measured iterations");
-    args.addOption("max-tenants", "8", "co-location sweep upper bound");
-    args.addOption("workers", "4", "serving workers");
-    args.addOption("rate", "10000", "offered items/s (serve)");
-    args.addOption("items", "20000", "items to simulate");
-    args.addOption("sla-ms", "10", "SLA in milliseconds");
-    args.addOption("zipf", "1.1", "trace popularity skew");
-    args.addOption("repeat", "0.5", "trace re-reference probability");
-    args.addOption("rows", "2000000", "embedding rows (trace)");
-    args.addOption("seed", "42", "random seed");
-    args.addOption("threads", "0",
-                   "tensor-op worker threads (0 = RECPERF_THREADS or "
-                   "hardware)");
-    args.addOption("backend", "cpu",
-                   "compute backend: cpu|nmp (overrides "
-                   "RECPERF_BACKEND; nmp offloads SparseLengthsSum to "
-                   "a near-memory engine)");
-    args.addOption("isa", "auto",
-                   "kernel ISA tier: scalar|avx2|avx512|auto "
-                   "(overrides RECPERF_ISA; pinned tiers are "
-                   "bit-deterministic; part of the backend spec)");
-    args.addOption("nmp-ranks", "8",
-                   "PIM-enabled memory ranks (nmp backend)");
-    args.addOption("nmp-rank-gbps", "9.6",
-                   "in-rank gather bandwidth per rank, GB/s (nmp)");
-    args.addOption("nmp-row-ns", "50",
-                   "per-row in-rank access latency, ns (nmp)");
-    args.addOption("nmp-link-gbps", "12",
-                   "host<->PIM link bandwidth, GB/s (nmp)");
-    args.addOption("nmp-launch-us", "2",
-                   "per-offloaded-op launch round trip, us (nmp)");
-    args.addOption("nmp-placement", "auto",
-                   "which tables offload: auto|all|none (nmp)");
-    args.addOption("nmp-min-table-kb", "1024",
-                   "auto placement: smaller tables stay on host (nmp)");
-    args.addOption("nmp-host-llc-frac", "0.5",
-                   "auto placement: tables within this fraction of "
-                   "the LLC share stay on host (nmp)");
-    args.addFlag("dump-kernel-cache",
-                 "print the memoized kernel table after eval");
-    args.addOption("rows-cap", "4096",
-                   "embedding rows cap for eval's functional model");
-    args.addOption("nodes", "4", "shard nodes (shard)");
-    args.addOption("straggler-prob", "0", "straggler probability");
-    args.addOption("straggler-alpha", "1.5", "straggler pareto shape");
-    args.addOption("straggler-min", "2", "minimum straggler slowdown");
-    args.addOption("mtbf-ms", "0", "shard mean time between failures");
-    args.addOption("mttr-ms", "10", "shard mean time to repair");
-    args.addOption("spike-rate", "0", "load spikes per second");
-    args.addOption("spike-ms", "5", "load spike duration");
-    args.addOption("spike-factor", "2", "slowdown during a spike");
-    args.addOption("fault-seed", "2020", "failure-model seed");
-    args.addOption("timeout-ms", "0", "per-shard timeout (0 = none)");
-    args.addOption("retries", "2", "max retries per shard request");
-    args.addFlag("hedge", "hedge slow shard requests to a replica");
-    args.addOption("hedge-ms", "0", "hedge delay (0 = auto p95)");
-    args.addOption("replicas", "1",
-                   "replicas per shard (>= 2 enables failover)");
-    args.addOption("router", "primary-first",
-                   "replica router: primary-first|least-loaded|p2c");
-    args.addOption("breaker-errors", "3",
-                   "consecutive errors tripping a replica's breaker");
-    args.addOption("breaker-open-ms", "0.5",
-                   "breaker cooldown before half-open");
-    args.addOption("breaker-probe", "0.7",
-                   "half-open probe admission probability");
-    args.addOption("breaker-close-probes", "2",
-                   "probe successes that re-close a breaker");
-    args.addOption("warmup-ms", "2",
-                   "post-recovery warm-up window (cold caches)");
-    args.addOption("warmup-factor", "0",
-                   "post-recovery slowdown (0 = measured cold/steady)");
-    args.addOption("chaos-events", "0",
-                   "scripted chaos windows over the run (shard)");
-    args.addOption("chaos-ms", "5", "mean chaos window duration");
-    args.addOption("corrupt-rate", "0",
-                   "memory-corruption events per second (shard; 0 = "
-                   "off)");
-    args.addOption("corrupt-zipf", "1.05",
-                   "corruption row-targeting skew (0 = uniform)");
-    args.addOption("corrupt-multi-bit", "0.2",
-                   "fraction of corruptions flipping multiple bits");
-    args.addOption("corrupt-stuck-row", "0.1",
-                   "fraction of corruptions sticking a whole row at 1s");
-    args.addOption("corrupt-fc", "0",
-                   "fraction of corruptions hitting FC weights");
-    args.addOption("scrub-interval-ms", "0",
-                   "background checksum scrub full-sweep period (shard; "
-                   "0 = off)");
-    args.addOption("integrity-sample", "0",
-                   "inline-verified fraction of lookup batches, (0, 1] "
-                   "(shard|eval; 0 = off)");
-    args.addFlag("integrity-guards",
-                 "NaN/inf/range + checksum output guards at the "
-                 "aggregation boundary (shard)");
-    args.addOption("integrity-canary-ms", "0",
-                   "canary-query period with golden outputs (shard; "
-                   "0 = off)");
-    args.addOption("repair-rtt-us", "200",
-                   "parameter-store round trip per row re-fetch");
-    args.addOption("repair-gbps", "1",
-                   "parameter-store transfer bandwidth");
-    args.addOption("drain-density", "0",
-                   "corrupted-row density escalating a replica to "
-                   "drain + rehydrate (0 = off)");
-    args.addOption("fault-log-out", "",
-                   "write every injected fault event as JSONL (shard)");
-    args.addOption("corrupt-events", "0",
-                   "seeded bit flips injected into eval's real tables "
-                   "(eval; needs --integrity-sample)");
-    args.addOption("cluster-replicas", "1",
-                   "replicas backing the serving tier (serve)");
-    args.addOption("healthy-replicas", "0",
-                   "healthy replicas in the tier (0 = all)");
-    args.addOption("trace-out", "",
-                   "write a Chrome trace-event JSON of the run "
-                   "(serve|shard|eval)");
-    args.addOption("metrics-out", "",
-                   "write the metrics registry as JSON and print the "
-                   "summary table (serve|shard|eval)");
-    args.addFlag("counters",
-                 "collect hardware-model telemetry (FLOPs, bytes, "
-                 "cache stats, roofline gauges)");
-    args.addOption("timeseries-out", "",
-                   "sample telemetry/SLO burn on a virtual-time "
-                   "cadence and write JSONL (implies --counters)");
-    args.addOption("timeseries-interval-ms", "10",
-                   "virtual-time sampling cadence for "
-                   "--timeseries-out");
-    args.addOption("request-log-out", "",
-                   "write one causal JSON record per request as JSONL "
-                   "(serve|shard)");
-    args.addOption("exemplars-out", "",
-                   "write the slowest-k + per-decile exemplar records "
-                   "as JSONL (serve|shard)");
-    args.addOption("request-log-k", "4",
-                   "slowest-k exemplar reservoir size "
-                   "(--request-log-out)");
-    args.addOption("request-log-window-ms", "0",
-                   "slowest-k trailing window in virtual ms (0 = whole "
-                   "run)");
-    args.addOption("metrics", "",
-                   "metrics JSON artifact to render (report|explain)");
-    args.addOption("trace", "",
-                   "trace JSON artifact to render (report)");
-    args.addOption("timeseries", "",
-                   "timeseries JSONL artifact to render (report)");
-    args.addOption("request-log", "",
-                   "request-log JSONL artifact to attribute (explain)");
-    args.addOption("top", "4",
-                   "slowest exemplar timelines to render (explain)");
-    args.addFlag("admission", "shed items whose wait blows the SLA");
-    args.addOption("admit-wait", "0.5", "sheddable wait as SLA fraction");
-    args.addOption("degrade-batch", "0",
-                   "degraded-mode batch cap (0 = off)");
-    args.addOption("backlog-factor", "2",
-                   "backlog (in max batches) triggering degraded mode");
-    args.addOption("deadline-ms", "0",
-                   "per-item deadline budget (serve|shard; 0 = off)");
-    args.addFlag("brownout",
-                 "enable the SLO-driven brownout ladder (serve)");
-    args.addOption("brownout-enter", "4",
-                   "short-window burn rate entering ladder level 1");
-    args.addOption("brownout-growth", "2",
-                   "entry-threshold growth per ladder level");
-    args.addOption("brownout-exit", "0.5",
-                   "de-escalate below this fraction of the entry "
-                   "threshold (hysteresis)");
-    args.addOption("brownout-dwell-ms", "20",
-                   "minimum time between ladder transitions");
-    args.addOption("brownout-truncate", "0.5",
-                   "candidate-set fraction kept at level >= 1");
-    args.addOption("brownout-skip-tables", "0.5",
-                   "SLS work fraction skipped at level 2");
-    args.addOption("low-priority", "0.2",
-                   "fraction of items droppable when degraded");
-    args.addFlag("help", "show this help");
-
-    std::string error;
-    if (!args.parse(rest, &error)) {
-        std::fprintf(stderr, "error: %s\n%s", error.c_str(),
-                     args.helpText().c_str());
+    for (const FlagSpec &f : kFlags) {
+        if (f.kind == kFlag)
+            args.addFlag(f.name, f.help);
+        else
+            args.addOption(f.name, f.def, f.help);
+    }
+    std::string err;
+    if (!args.parse(rest, &err)) {
+        std::fprintf(stderr, "error: %s (see: recperf %s --help)\n",
+                     err.c_str(), command.c_str());
         return 2;
     }
-    if (command == "help" || args.flag("help")) {
-        std::printf("usage: recperf <time|colocate|serve|shard|trace|"
-                    "eval|report|explain|zoo> [options]\n\n%s",
-                    args.helpText().c_str());
+    if (!bit || args.flag("help")) {
+        std::fputs(helpText(bit).c_str(), stdout);
         return 0;
     }
 
-    if (args.optionInt("threads") > 0)
-        setGlobalThreadCount(static_cast<int>(args.optionInt("threads")));
-
-    // Resolve the backend spec up front — backend family and kernel
-    // ISA tier are one validated unit (flag > env > default for each
-    // component) — and fail fast with exit 2, like every other
-    // argument error, before any kernel runs. Both sources are
-    // validated: a bad env var is an error even when an explicit flag
-    // would override it.
-    {
-        std::string backend_name = args.option("backend");
-        if (const char *env = std::getenv("RECPERF_BACKEND")) {
-            if (!backendKindFromName(env, nullptr)) {
-                std::fprintf(stderr,
-                             "error: RECPERF_BACKEND: unknown backend "
-                             "'%s' (expected cpu|nmp)\n", env);
-                return 2;
-            }
-            if (!args.explicitlySet("backend"))
-                backend_name = env;
-        }
-        std::string isa_name = args.option("isa");
-        if (const char *env = std::getenv("RECPERF_ISA")) {
-            IsaPolicy probe;
-            std::string env_err = isaPolicyFromName(env, &probe);
-            if (!env_err.empty()) {
-                std::fprintf(stderr, "error: RECPERF_ISA: %s\n",
-                             env_err.c_str());
-                return 2;
-            }
-            if (!args.explicitlySet("isa"))
-                isa_name = env;
-        }
-        BackendConfig backend;
-        std::string err =
-            backendConfigFromSpec(backend_name, isa_name, &backend);
-        if (!err.empty()) {
-            std::fprintf(stderr, "error: --backend/--isa: %s\n",
-                         err.c_str());
-            return 2;
-        }
-
-        // NMP knobs only make sense against the nmp backend; a knob on
-        // a cpu run is a spec error, not something to silently ignore.
-        static const char *kNmpKnobs[] = {
-            "nmp-ranks", "nmp-rank-gbps", "nmp-row-ns", "nmp-link-gbps",
-            "nmp-launch-us", "nmp-placement", "nmp-min-table-kb",
-            "nmp-host-llc-frac"};
-        if (backend.kind != BackendKind::Nmp) {
-            for (const char *knob : kNmpKnobs) {
-                if (args.explicitlySet(knob)) {
-                    std::fprintf(stderr,
-                                 "error: --%s requires --backend=nmp\n",
-                                 knob);
-                    return 2;
-                }
-            }
-        } else {
-            backend.nmp.ranks =
-                static_cast<uint32_t>(args.optionInt("nmp-ranks"));
-            backend.nmp.rankGBps = args.optionDouble("nmp-rank-gbps");
-            backend.nmp.rowAccessNs = args.optionDouble("nmp-row-ns");
-            backend.nmp.linkGBps = args.optionDouble("nmp-link-gbps");
-            backend.nmp.launchUs = args.optionDouble("nmp-launch-us");
-            backend.nmp.minTableBytes =
-                static_cast<uint64_t>(
-                    args.optionInt("nmp-min-table-kb")) * 1024;
-            backend.nmp.hostLlcFraction =
-                args.optionDouble("nmp-host-llc-frac");
-            if (!nmpPlacementFromName(args.option("nmp-placement"),
-                                      &backend.nmp.placement)) {
-                std::fprintf(stderr,
-                             "error: --nmp-placement: unknown policy "
-                             "'%s' (expected auto|all|none)\n",
-                             args.option("nmp-placement").c_str());
-                return 2;
-            }
-            err = backend.nmp.validate();
-            if (!err.empty()) {
-                std::fprintf(stderr, "error: --backend=nmp: %s\n",
-                             err.c_str());
-                return 2;
-            }
-        }
-        setActiveBackend(backend);
+    Cli cli(args, bit);
+    if (!args.positional().empty())
+        err = "unexpected argument '" + args.positional().front() + "'";
+    if (err.empty())
+        err = checkFlags(args, bit);
+    if (err.empty() && (bit & kModel) && !findModel(cli.str("model")))
+        err = strprintf("--model: unknown model '%s' (try: rmc1, rmc2, "
+                        "rmc3, rmc3-dot, ncf, or a full zoo name)",
+                        cli.str("model").c_str());
+    // The pool is sized before the backend spec installs its kernels.
+    if (err.empty() && bit == kEval && cli.i64("threads") > 0)
+        setGlobalThreadCount(static_cast<int>(cli.i64("threads")));
+    if (err.empty() && (bit & kModel))
+        err = configureBackend(cli);
+    if (err.empty() && (bit & kServing))
+        err = validateServingArgs(cli);
+    if (!err.empty()) {
+        std::fprintf(stderr, "error: %s\n", err.c_str());
+        return 2;
     }
 
+    // Indexed like kCommands.
+    int (*const handlers[])(const Cli &) = {
+        cmdTime, cmdColocate, cmdServe,   cmdShard, cmdTrace,
+        cmdEval, cmdReport,   cmdExplain, cmdZoo};
     try {
-        bool serving = command == "serve" || command == "shard";
-        std::string invalid = checkFlagBounds(args);
-        if (invalid.empty() && serving)
-            invalid = validateServingArgs(args, command);
-        if (!invalid.empty()) {
-            std::fprintf(stderr, "error: %s\n", invalid.c_str());
-            return 2;
-        }
-        if (!serving) {
-            // The request log records the serving lanes only; on any
-            // other command the knobs would silently do nothing.
-            static const char *const kRlogKnobs[] = {
-                "request-log-out", "exemplars-out", "request-log-k",
-                "request-log-window-ms"};
-            for (const char *knob : kRlogKnobs) {
-                if (args.explicitlySet(knob)) {
-                    std::fprintf(stderr,
-                                 "error: --%s applies to serve and "
-                                 "shard only (the request log records "
-                                 "the serving lanes)\n", knob);
-                    return 2;
-                }
-            }
-        }
-        if (command == "time")
-            return cmdTime(args);
-        if (command == "colocate")
-            return cmdColocate(args);
-        if (command == "serve")
-            return cmdServe(args);
-        if (command == "shard")
-            return cmdShard(args);
-        if (command == "trace")
-            return cmdTrace(args);
-        if (command == "eval")
-            return cmdEval(args);
-        if (command == "report")
-            return cmdReport(args);
-        if (command == "explain")
-            return cmdExplain(args);
-        if (command == "zoo")
-            return cmdZoo();
+        return handlers[std::countr_zero(bit)](cli);
     } catch (const FatalError &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;
+    } catch (const std::bad_alloc &) {
+        std::fprintf(stderr, "error: out of memory\n");
+        return 1;
     }
-
-    std::fprintf(stderr, "unknown command '%s'; try: recperf help\n",
-                 command.c_str());
-    return 2;
 }
