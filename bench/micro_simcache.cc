@@ -66,6 +66,29 @@ BM_HierarchyRandomAccess(benchmark::State &state)
 BENCHMARK(BM_HierarchyRandomAccess)->Arg(1)->Arg(8);
 
 void
+BM_HierarchyInclusiveThrash(benchmark::State &state)
+{
+    // Four cores stream random lines over 4x the 35 MiB Broadwell LLC:
+    // nearly every access misses the LLC and evicts a line, so this
+    // times the inclusive back-invalidation path per access.
+    constexpr uint32_t kCores = 4;
+    auto hier = broadwell().makeHierarchy(kCores);
+    const uint64_t lines = 4 * hier->l3().sizeBytes() / 64;
+    Rng rng(4);
+    uint32_t core = 0;
+    for (auto _ : state) {
+        uint64_t addr = rng.nextBelow(lines) * 64;
+        benchmark::DoNotOptimize(hier->access(core, addr));
+        core = (core + 1) % kCores;
+    }
+    state.counters["access/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+    state.counters["llc_miss_rate"] = hier->l3().stats().missRate();
+}
+BENCHMARK(BM_HierarchyInclusiveThrash);
+
+void
 BM_HierarchyZipfAccess(benchmark::State &state)
 {
     auto hier = skylake().makeHierarchy(1);

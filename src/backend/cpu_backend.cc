@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "backend/timing_shared.hh"
 #include "core/aligned.hh"
@@ -9,6 +10,13 @@
 #include "timing/model_timer.hh"
 
 namespace recperf {
+
+namespace {
+
+/** How many rows ahead timeSls asks the host to load LLC tag blocks. */
+constexpr int64_t kHostPrefetchRows = 8;
+
+} // namespace
 
 OpTiming
 CpuBackend::timeFc(TimingContext &ctx, const std::string &name,
@@ -128,12 +136,24 @@ CpuBackend::timeSls(TimingContext &ctx, size_t table_index)
     const uint64_t table_base = ctx.addressBase +
         (static_cast<uint64_t>(table_index) + 1) * kTableRegionBytes;
 
+    // The generator never reads cache state, so drawing every ID first
+    // keeps the draw order; the IDs in hand let the host load the LLC
+    // tag blocks a few rows ahead of the simulated accesses.
     IdGenerator &gen = *(*ctx.tableGens)[table_index];
+    thread_local std::vector<uint64_t> row_addrs;
+    row_addrs.resize(static_cast<size_t>(rows));
+    for (uint64_t &addr : row_addrs) {
+        addr = table_base + static_cast<uint64_t>(gen.next()) *
+            static_cast<uint64_t>(row_bytes);
+    }
     uint64_t hits[4] = {0, 0, 0, 0};
     for (int64_t r = 0; r < rows; ++r) {
-        uint64_t row_addr = table_base +
-            static_cast<uint64_t>(gen.next()) *
-                static_cast<uint64_t>(row_bytes);
+        if (r + kHostPrefetchRows < rows) {
+            uint64_t ahead = row_addrs[r + kHostPrefetchRows];
+            for (uint64_t l = 0; l < lines_per_row; ++l)
+                ctx.hier->hostPrefetch(ahead + l * kCacheLineBytes);
+        }
+        uint64_t row_addr = row_addrs[r];
         for (uint64_t l = 0; l < lines_per_row; ++l) {
             HitLevel level = ctx.hier->access(
                 ctx.tenant, row_addr + l * kCacheLineBytes);

@@ -31,45 +31,57 @@ CacheHierarchy::CacheHierarchy(uint32_t num_cores, const LevelConfig &l1,
         l2s_.push_back(std::make_unique<Cache>(
             strprintf("L2[%u]", c), l2.sizeBytes, l2.associativity));
     }
-    l3_ = std::make_unique<Cache>("L3", l3.sizeBytes, l3.associativity);
+    l3_ = std::make_unique<Cache>("L3", l3.sizeBytes, l3.associativity, 64,
+                                  policy == InclusionPolicy::Inclusive);
+}
+
+void
+CacheHierarchy::badCore(uint32_t core) const
+{
+    RP_PANIC("core %u out of %u", core, numCores());
 }
 
 HitLevel
 CacheHierarchy::access(uint32_t core, uint64_t addr)
 {
-    RP_ASSERT(core < numCores(), "core %u out of %u", core, numCores());
+    if (core >= numCores()) [[unlikely]]
+        badCore(core);
 
     if (l1s_[core]->access(addr))
         return HitLevel::L1;
 
     if (l2s_[core]->access(addr)) {
-        // Refill L1 from L2; an inclusive L1 victim needs no action.
-        if (auto v = l1s_[core]->fill(addr); v && policy_ ==
-                InclusionPolicy::Exclusive) {
-            // L1 victims stay resident in L2 in this model; nothing to do.
-        }
+        // Refill L1 from L2; the L1 victim stays resident in L2.
+        l1s_[core]->fill(addr);
         return HitLevel::L2;
     }
 
-    if (l3_->access(addr)) {
-        if (policy_ == InclusionPolicy::Exclusive) {
-            // Victim-cache semantics: the line moves up and out of L3.
-            l3_->extract(addr);
+    if (policy_ == InclusionPolicy::Inclusive) {
+        if (l3_->accessBy(addr, sharerBit(core))) {
+            fillPrivate(core, addr);
+            return HitLevel::L3;
         }
+        fillL3(core, addr);
+    } else if (l3_->access(addr)) {
+        // Victim-cache semantics: the line moves up and out of L3.
+        l3_->extract(addr);
         fillPrivate(core, addr);
         return HitLevel::L3;
     }
-
-    // Serviced by memory.
-    if (policy_ == InclusionPolicy::Inclusive) {
-        if (auto victim = l3_->fill(addr))
-            backInvalidate(*victim);
-    }
-    // Exclusive: DRAM fills bypass the L3; it is populated by L2 victims.
+    // Serviced by memory. Exclusive: DRAM fills bypass the L3; it is
+    // populated by L2 victims.
     fillPrivate(core, addr);
     if (prefetch_.nextLine)
         issuePrefetches(core, addr);
     return HitLevel::Memory;
+}
+
+void
+CacheHierarchy::fillL3(uint32_t core, uint64_t addr)
+{
+    SharerMask victim_sharers = 0;
+    if (auto victim = l3_->fillBy(addr, sharerBit(core), &victim_sharers))
+        backInvalidate(*victim, victim_sharers);
 }
 
 void
@@ -82,11 +94,13 @@ CacheHierarchy::issuePrefetches(uint32_t core, uint64_t addr)
             continue;
         ++prefetched_lines_;
         // Prefetches install into the private L2 (and, on inclusive
-        // hierarchies, the L3) without touching the L1.
-        if (policy_ == InclusionPolicy::Inclusive &&
-            !l3_->contains(next)) {
-            if (auto victim = l3_->fill(next))
-                backInvalidate(*victim);
+        // hierarchies, the L3) without touching the L1. An exclusive
+        // L3 gives the line up, as on a demand L3 hit.
+        if (policy_ == InclusionPolicy::Inclusive) {
+            if (!l3_->addSharers(next, sharerBit(core)))
+                fillL3(core, next);
+        } else {
+            l3_->extract(next);
         }
         if (auto l2_victim = l2s_[core]->fill(next)) {
             if (policy_ == InclusionPolicy::Exclusive)
@@ -111,11 +125,13 @@ CacheHierarchy::fillPrivate(uint32_t core, uint64_t addr)
 }
 
 void
-CacheHierarchy::backInvalidate(uint64_t addr)
+CacheHierarchy::backInvalidate(uint64_t addr, SharerMask sharers)
 {
-    for (size_t c = 0; c < l1s_.size(); ++c) {
-        l2s_[c]->invalidate(addr);
-        l1s_[c]->invalidate(addr);
+    // Only cores in the mask can hold the line, and L1 is a subset of
+    // L2, so an L2 miss proves the L1 holds no copy either.
+    for (uint32_t c = 0; c < numCores(); ++c) {
+        if ((sharers & sharerBit(c)) && l2s_[c]->invalidate(addr))
+            l1s_[c]->invalidate(addr);
     }
 }
 

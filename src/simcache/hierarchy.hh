@@ -10,6 +10,10 @@
  * Fig 11); this model reproduces that mechanism: an eviction from an
  * inclusive LLC removes the line from every core's private L1/L2.
  *
+ * The inclusive LLC keeps a core-presence mask per line, a superset of
+ * the cores holding it privately, so back-invalidation probes only the
+ * marked cores (DESIGN.md §18).
+ *
  * Each "core" owns a private L1 and L2 and shares the L3. Co-located
  * model instances are mapped to distinct cores, so their irregular
  * embedding-table streams contend in the shared LLC exactly as in the
@@ -106,6 +110,13 @@ class CacheHierarchy
      */
     HitLevel access(uint32_t core, uint64_t addr);
 
+    /**
+     * Host-only hint: start loading the LLC tag block that an access
+     * to @p addr will walk. Changes no simulated state; unrelated to
+     * the simulated next-line prefetcher (PrefetchConfig).
+     */
+    void hostPrefetch(uint64_t addr) const { l3_->hostPrefetch(addr); }
+
     /** Latency in core cycles for an access serviced at @p level. */
     uint32_t latencyCycles(HitLevel level) const;
 
@@ -135,8 +146,10 @@ class CacheHierarchy
     uint64_t prefetchedLines() const { return prefetched_lines_; }
 
   private:
+    [[noreturn]] void badCore(uint32_t core) const;
     void fillPrivate(uint32_t core, uint64_t addr);
-    void backInvalidate(uint64_t addr);
+    void backInvalidate(uint64_t addr, SharerMask sharers);
+    void fillL3(uint32_t core, uint64_t addr);
     void insertVictimIntoL3(uint64_t addr);
     void issuePrefetches(uint32_t core, uint64_t addr);
 

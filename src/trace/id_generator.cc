@@ -110,16 +110,22 @@ RepeatGen::RepeatGen(std::unique_ptr<IdGenerator> base, double repeat_prob,
 int64_t
 RepeatGen::next()
 {
+    const size_t n = history_.size();
     int64_t id;
-    if (!history_.empty() && rng_.nextBool(repeat_prob_)) {
-        size_t idx = static_cast<size_t>(rng_.nextBelow(history_.size()));
-        id = history_[idx];
+    if (n != 0 && rng_.nextBool(repeat_prob_)) {
+        // Logical index idx (0 = oldest) lives at (head_ + idx) mod n.
+        size_t slot = head_ + static_cast<size_t>(rng_.nextBelow(n));
+        id = history_[slot < n ? slot : slot - n];
     } else {
         id = base_->next();
     }
-    history_.push_back(id);
-    if (history_.size() > window_)
-        history_.pop_front();
+    if (n < window_) {
+        history_.push_back(id);
+    } else {
+        // Full: the newest ID overwrites the oldest.
+        history_[head_] = id;
+        head_ = head_ + 1 == n ? 0 : head_ + 1;
+    }
     return id;
 }
 

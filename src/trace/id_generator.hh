@@ -19,7 +19,6 @@
 #define RECPERF_TRACE_ID_GENERATOR_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -109,12 +108,21 @@ class RepeatGen : public IdGenerator
     int64_t rows() const override { return base_->rows(); }
     double repeatProb() const { return repeat_prob_; }
 
+    /** IDs currently in the re-reference window (at most window). */
+    size_t historySize() const { return history_.size(); }
+
   private:
     std::unique_ptr<IdGenerator> base_;
     double repeat_prob_;
     size_t window_;
     Rng rng_;
-    std::deque<int64_t> history_;
+    /**
+     * The last min(draws, window) IDs as a ring, oldest at head_. It
+     * grows by push_back until full, so a table that never draws a
+     * full window never allocates one.
+     */
+    std::vector<int64_t> history_;
+    size_t head_ = 0;
 };
 
 /** Replays a fixed, recorded trace in a loop. */

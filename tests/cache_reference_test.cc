@@ -9,100 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <list>
-#include <optional>
-#include <vector>
+#include <ostream>
+#include <string>
 
 #include "core/rng.hh"
+#include "reference_cache.hh"
 #include "simcache/cache.hh"
 
 namespace recperf {
 namespace {
-
-/** Obviously-correct reference: one LRU list per set. */
-class ReferenceCache
-{
-  public:
-    ReferenceCache(uint64_t size_bytes, uint32_t assoc,
-                   uint32_t line_bytes = 64)
-        : assoc_(assoc), line_bytes_(line_bytes),
-          sets_(size_bytes / line_bytes / assoc)
-    {
-    }
-
-    bool
-    access(uint64_t addr)
-    {
-        auto &set = setFor(addr);
-        uint64_t line = addr / line_bytes_;
-        auto it = std::find(set.begin(), set.end(), line);
-        if (it == set.end())
-            return false;
-        set.erase(it);
-        set.push_back(line); // most recent at back
-        return true;
-    }
-
-    std::optional<uint64_t>
-    fill(uint64_t addr)
-    {
-        auto &set = setFor(addr);
-        uint64_t line = addr / line_bytes_;
-        auto it = std::find(set.begin(), set.end(), line);
-        if (it != set.end()) {
-            set.erase(it);
-            set.push_back(line);
-            return std::nullopt;
-        }
-        std::optional<uint64_t> evicted;
-        if (set.size() == assoc_) {
-            evicted = set.front() * line_bytes_;
-            set.pop_front();
-        }
-        set.push_back(line);
-        return evicted;
-    }
-
-    bool
-    invalidate(uint64_t addr)
-    {
-        auto &set = setFor(addr);
-        uint64_t line = addr / line_bytes_;
-        auto it = std::find(set.begin(), set.end(), line);
-        if (it == set.end())
-            return false;
-        set.erase(it);
-        return true;
-    }
-
-    bool
-    contains(uint64_t addr) const
-    {
-        const auto &set = sets_[addr / line_bytes_ % sets_.size()];
-        return std::find(set.begin(), set.end(), addr / line_bytes_) !=
-            set.end();
-    }
-
-    uint64_t
-    occupancy() const
-    {
-        uint64_t n = 0;
-        for (const auto &set : sets_)
-            n += set.size();
-        return n;
-    }
-
-  private:
-    std::list<uint64_t> &
-    setFor(uint64_t addr)
-    {
-        return sets_[addr / line_bytes_ % sets_.size()];
-    }
-
-    uint32_t assoc_;
-    uint32_t line_bytes_;
-    std::vector<std::list<uint64_t>> sets_;
-};
 
 struct FuzzConfig
 {
@@ -112,13 +27,9 @@ struct FuzzConfig
     uint64_t addr_space_lines;
 };
 
-class CacheFuzz : public ::testing::TestWithParam<FuzzConfig>
+void
+fuzzAgainstReference(const FuzzConfig &cfg)
 {
-};
-
-TEST_P(CacheFuzz, AgreesWithReference)
-{
-    const FuzzConfig cfg = GetParam();
     Cache cache("fuzz", cfg.size_bytes, cfg.assoc);
     ReferenceCache ref(cfg.size_bytes, cfg.assoc);
     Rng rng(cfg.seed);
@@ -163,6 +74,15 @@ TEST_P(CacheFuzz, AgreesWithReference)
         ASSERT_TRUE(ref.contains(addr));
 }
 
+class CacheFuzz : public ::testing::TestWithParam<FuzzConfig>
+{
+};
+
+TEST_P(CacheFuzz, AgreesWithReference)
+{
+    fuzzAgainstReference(GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheFuzz,
     ::testing::Values(
@@ -172,6 +92,65 @@ INSTANTIATE_TEST_SUITE_P(
         FuzzConfig{4, 256 * 1024, 16, 8192},
         FuzzConfig{5, 4096, 64, 128},       // fully-associative set
         FuzzConfig{6, 64 * 1024, 2, 100'000}));
+
+/** A geometry whose set count is not a power of two, with a name. */
+struct OddGeometry
+{
+    FuzzConfig cfg;
+    const char *name;
+};
+
+void
+PrintTo(const OddGeometry &g, std::ostream *os)
+{
+    *os << g.name;
+}
+
+class CacheFuzzOddSets : public ::testing::TestWithParam<OddGeometry>
+{
+};
+
+TEST_P(CacheFuzzOddSets, AgreesWithReference)
+{
+    fuzzAgainstReference(GetParam().cfg);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheFuzzOddSets,
+    ::testing::Values(
+        OddGeometry{{7, 3 * 4096, 4, 2048}, "Sets48"},
+        OddGeometry{{8, 20 * 64 * 7, 20, 600}, "Sets7Ways20"},
+        OddGeometry{{9, 5 * 64 * 4, 4, uint64_t{1} << 52}, "Sets5Addr58Bit"}),
+    [](const ::testing::TestParamInfo<OddGeometry> &info) {
+        return std::string(info.param.name);
+    });
+
+/**
+ * The per-set LRU stamps are 16 bits wide: a set that hands out its
+ * last stamp renumbers its lines in LRU order. Driving one set far past
+ * that point, with invalidations leaving holes, must still agree with
+ * the reference on every hit, victim and resident line.
+ */
+TEST(CacheLru, StampRenumberingKeepsLruOrder)
+{
+    Cache cache("lru", 8 * 64, 8); // a single 8-way set
+    ReferenceCache ref(8 * 64, 8);
+    Rng rng(11);
+    for (int step = 0; step < 400'000; ++step) {
+        uint64_t addr = rng.nextBelow(12) * 64;
+        uint64_t op = rng.nextBelow(8);
+        if (op < 5) {
+            ASSERT_EQ(cache.access(addr), ref.access(addr)) << step;
+        } else if (op < 7) {
+            ASSERT_EQ(cache.fill(addr), ref.fill(addr)) << step;
+        } else {
+            ASSERT_EQ(cache.invalidate(addr), ref.invalidate(addr)) << step;
+        }
+    }
+    auto lines = cache.residentLines();
+    std::sort(lines.begin(), lines.end());
+    EXPECT_EQ(lines, ref.residentLines());
+}
 
 } // namespace
 } // namespace recperf

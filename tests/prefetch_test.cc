@@ -90,6 +90,25 @@ TEST(Prefetch, WorksOnExclusiveHierarchy)
     EXPECT_FALSE(h.l3().contains(64)); // exclusive L3 not polluted
 }
 
+TEST(Prefetch, ExclusiveInstallTakesLineOutOfL3)
+{
+    // A prefetch that installs a line held by an exclusive L3 must move
+    // it, as a demand L3 hit does, not copy it.
+    PrefetchConfig pf{true, 1};
+    CacheHierarchy h(1, {128, 2, 4}, {256, 2, 12}, {64 * 1024, 4, 38},
+                     InclusionPolicy::Exclusive, 200, pf);
+    h.access(0, 64);
+    // Thrash line 64's L2 set until it spills into the L3.
+    for (uint64_t a = 1; a <= 15; ++a)
+        h.access(0, 4096 * a + 64);
+    ASSERT_FALSE(h.l2(0).contains(64));
+    ASSERT_TRUE(h.l3().contains(64));
+    // The demand miss on line 0 prefetches line 64 into the L2.
+    EXPECT_EQ(h.access(0, 0), HitLevel::Memory);
+    EXPECT_TRUE(h.l2(0).contains(64));
+    EXPECT_FALSE(h.l3().contains(64));
+}
+
 TEST(Prefetch, HalvesMissesForTwoLineRows)
 {
     // Embedding rows of 128 B span two lines; the next-line prefetcher

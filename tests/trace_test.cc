@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
 
 #include "core/logging.hh"
@@ -130,6 +131,54 @@ TEST(RepeatGen, ZeroWindowRejected)
     EXPECT_THROW(RepeatGen(std::make_unique<UniformGen>(10, Rng(1)), 1.0, 8,
                            Rng(2)),
                  PanicError);
+}
+
+/** The deque-based window RepeatGen's ring buffer must reproduce. */
+class DequeRepeatGen
+{
+  public:
+    DequeRepeatGen(std::unique_ptr<IdGenerator> base, double repeat_prob,
+                   size_t window, Rng rng)
+        : base_(std::move(base)), repeat_prob_(repeat_prob),
+          window_(window), rng_(rng)
+    {
+    }
+
+    int64_t
+    next()
+    {
+        int64_t id;
+        if (!history_.empty() && rng_.nextBool(repeat_prob_))
+            id = history_[rng_.nextBelow(history_.size())];
+        else
+            id = base_->next();
+        history_.push_back(id);
+        if (history_.size() > window_)
+            history_.pop_front();
+        return id;
+    }
+
+  private:
+    std::unique_ptr<IdGenerator> base_;
+    double repeat_prob_;
+    size_t window_;
+    Rng rng_;
+    std::deque<int64_t> history_;
+};
+
+TEST(RepeatGen, RingMatchesDequeWindow)
+{
+    for (size_t window : {size_t{1}, size_t{2}, size_t{7}, size_t{4096}}) {
+        RepeatGen gen(std::make_unique<UniformGen>(1'000'000, Rng(31)), 0.6,
+                      window, Rng(32));
+        DequeRepeatGen ref(std::make_unique<UniformGen>(1'000'000, Rng(31)),
+                           0.6, window, Rng(32));
+        for (size_t i = 0; i < 3 * window; ++i) {
+            ASSERT_EQ(gen.next(), ref.next())
+                << "window " << window << " draw " << i;
+            ASSERT_EQ(gen.historySize(), std::min(i + 1, window));
+        }
+    }
 }
 
 TEST(RepeatGen, UniqueFractionTracksRepeatProb)
