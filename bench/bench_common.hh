@@ -18,8 +18,8 @@
 #include <utility>
 #include <vector>
 
-#include "backend/compute_backend.hh"
 #include "machine/simd.hh"
+#include "ops/kernel_cache.hh"
 
 namespace recperf {
 namespace bench {
@@ -152,14 +152,14 @@ class JsonWriter
         machine_.add("host_cores",
                      static_cast<uint64_t>(
                          std::thread::hardware_concurrency()));
-        // Stamp the active compute backend and ISA policy so
-        // scripts/bench_diff.py can flag a cross-backend comparison as
+        // Stamp the ISA policy the kernels run under so
+        // scripts/bench_diff.py can flag a cross-ISA comparison as
         // config drift instead of reporting it as a perf regression.
-        const BackendConfig &backend = activeBackendConfig();
-        machine_.add("backend", backendKindName(backend.kind));
-        machine_.add("isa", backend.isa.autoSelect
-                         ? "auto"
-                         : kernelIsaName(backend.isa.pinned));
+        // Benches execute CPU kernels only.
+        const IsaPolicy isa = KernelCache::global().policy();
+        machine_.add("backend", "cpu");
+        machine_.add("isa",
+                     isa.autoSelect ? "auto" : kernelIsaName(isa.pinned));
     }
 
     JsonObject &machine() { return machine_; }

@@ -7,7 +7,7 @@
  * operator blowing up under co-location — the tail is not noise, it
  * has causes. This bench derives that decomposition from the
  * per-request causal records (obs/request_log.hh) alone: each scenario
- * runs a serving loop with the request logger enabled, then attributes
+ * runs a serving loop with a request logger, then attributes
  * the p99-p50 gap to the mechanism that charged it (queue wait,
  * shard stragglers, hedges, retries, scrub tax, ...).
  *
@@ -63,11 +63,11 @@ struct Scenario
     obs::TailAttribution tail;
 };
 
-/** Pull the log + attribution accumulated by the run just finished. */
+/** Pull the log + attribution of the run just finished. */
 Scenario
-capture(const std::string &name, uint64_t offered)
+capture(const std::string &name, uint64_t offered,
+        const obs::RequestLogger &rlog)
 {
-    obs::RequestLogger &rlog = obs::RequestLogger::global();
     Scenario s;
     s.name = name;
     s.offered = offered;
@@ -90,8 +90,9 @@ runServeOverload(uint64_t seed, uint64_t items)
     double saturation =
         probe.runClosedLoop(40).totalThroughput();
     Server server(broadwell(), rmc1Small(), topts, sopts);
-    server.runOpenLoop(1.4 * saturation, items);
-    return capture("serve_overload", items);
+    obs::RequestLogger rlog;
+    server.runOpenLoop(1.4 * saturation, items, &rlog);
+    return capture("serve_overload", items, rlog);
 }
 
 Scenario
@@ -108,8 +109,10 @@ runShard(const std::string &name, uint64_t seed, int iters,
     ropts.faults.stragglerProb = straggler_prob;
     ropts.faults.seed = seed;
     ropts.hedge.enabled = hedge;
+    obs::RequestLogger rlog;
+    ropts.requestLog = &rlog;
     sim.run(ropts);
-    return capture(name, static_cast<uint64_t>(iters));
+    return capture(name, static_cast<uint64_t>(iters), rlog);
 }
 
 /** Largest-blame cause index of a scenario. */
@@ -169,16 +172,11 @@ main(int argc, char **argv)
         "request log\n(RMC1 on Broadwell, seed %llu)",
         static_cast<unsigned long long>(seed)));
 
-    obs::RequestLogger &rlog = obs::RequestLogger::global();
-    rlog.configure(obs::RequestLogOptions{});
-    rlog.setEnabled(true);
-
     std::vector<Scenario> grid;
     grid.push_back(runServeOverload(seed, items));
     grid.push_back(runShard("shard_clean", seed, iters, 0.0, false));
     grid.push_back(runShard("shard_straggler", seed, iters, 0.3, false));
     grid.push_back(runShard("shard_hedged", seed, iters, 0.3, true));
-    rlog.setEnabled(false);
 
     bench::section("p99 - p50 blame decomposition");
     std::printf("  %-16s %6s %9s %9s %9s  %s\n", "scenario", "served",

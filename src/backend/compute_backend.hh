@@ -1,33 +1,28 @@
 /**
  * @file
- * Pluggable compute backends: who executes an operator and who models
- * its cost.
+ * Pluggable compute backends: who models an operator's cost.
  *
  * The paper's central finding is that embedding-dominated models
  * (RMC2) spend >80% of inference latency in memory-bound
  * SparseLengthsSum, which CPU caches cannot fix — RecNMP-style
  * near-memory lookup offload is the architectural answer. A
- * ComputeBackend owns both planes of that comparison:
+ * ComputeBackend models the cost of that comparison: every OpTiming
+ * producer the ModelTimer used to own (FC residency model,
+ * simulated-cache SLS gather, concat / batch-MM / activation) is a
+ * backend method, so a backend can re-model any operator's cost
+ * without touching the timing layer. A ModelTimer owns its backend,
+ * built from TimerOptions::backend.
  *
- *  - the *execution* plane: every op that runs real kernels (gemmBt,
- *    SLS, quantized SLS — and BMM/conv/LSTM, which all route through
- *    gemmBt) fetches its tuned kernel entry through the registered
- *    backend instead of touching KernelCache directly;
- *  - the *timing* plane: every OpTiming producer the ModelTimer used
- *    to own (FC residency model, simulated-cache SLS gather, concat /
- *    batch-MM / activation) is a backend method, so a backend can
- *    re-model any operator's cost without touching the timing layer.
+ * The functional kernels take no backend: near-memory lookup is data
+ * movement, not new math, so gemmBt and the SLS forwards call
+ * KernelCache directly and their results are a function of the ISA
+ * tier alone, whichever backend times the model.
  *
- * CpuBackend is backend #0: it wraps the existing kernel-cache/ISA
- * machinery and the verbatim ModelTimer cost model, so the default is
- * bitwise-identical to the pre-backend code (eval checksums, traces,
- * and metrics byte-equal). NmpBackend re-models SLS as a rank-level
- * near-memory engine (nmp_backend.hh).
+ * CpuBackend is backend #0: the verbatim ModelTimer cost model.
+ * NmpBackend re-models SLS as a rank-level near-memory engine
+ * (nmp_backend.hh).
  *
  * Determinism contract (DESIGN.md §16):
- *  - kernel *results* are a function of the ISA tier alone; both
- *    backends share one KernelCache, so SLS outputs are bit-identical
- *    across backends (near-memory lookup is data movement, not math);
  *  - every backend consumes the per-table ID-generator stream at the
  *    same rate (one draw per pooled row), so switching backends — or
  *    mixing placements — never shifts another table's trace;
@@ -46,8 +41,8 @@
 
 #include "core/rng.hh"
 #include "machine/machine_spec.hh"
+#include "machine/simd.hh"
 #include "model/config.hh"
-#include "ops/kernel_cache.hh"
 #include "timing/op_timing.hh"
 #include "trace/id_generator.hh"
 
@@ -119,8 +114,8 @@ struct NmpConfig
 
 /**
  * One validated backend selection: which backend family plus the CPU
- * kernel ISA policy (the NMP backend still runs FC/interaction on the
- * host, so the ISA plane applies to both).
+ * kernel ISA policy the caller pins in KernelCache (the NMP backend
+ * still runs FC/interaction on the host, so the ISA applies to both).
  */
 struct BackendConfig
 {
@@ -178,9 +173,9 @@ struct TimingContext
 };
 
 /**
- * One compute backend: operator execution and cost modeling. Timing
- * hooks are pure given (context, args) except for the documented
- * stateful reads (cache hierarchy, ID generators, contention RNG).
+ * One compute backend's cost model. Timing hooks are pure given
+ * (context, args) except for the documented stateful reads (cache
+ * hierarchy, ID generators, contention RNG).
  */
 class ComputeBackend
 {
@@ -193,26 +188,7 @@ class ComputeBackend
     /** The validated config this backend was built from. */
     const BackendConfig &config() const { return config_; }
 
-    // ------------------------------------------------------------------
-    // Execution plane. Kernel entries come from the shared shape-keyed
-    // cache: results are a function of the ISA tier alone, so every
-    // backend returns bit-identical numerics (DESIGN.md §14/§16). A
-    // future backend with its own kernels overrides these.
-    // ------------------------------------------------------------------
-
-    /** Tuned kernel entry for GEMM shape (m, n, k). */
-    virtual const KernelCache::GemmEntry &gemmKernel(int64_t m, int64_t n,
-                                                     int64_t k) const;
-
-    /** Tuned kernel entry for SLS shape (dim, pooling bucket, q?). */
-    virtual const KernelCache::SlsEntry &slsKernel(int64_t dim,
-                                                   int64_t pooling,
-                                                   bool quantized) const;
-
-    // ------------------------------------------------------------------
-    // Timing plane: one hook per OpTiming producer.
-    // ------------------------------------------------------------------
-
+    // One hook per OpTiming producer.
     virtual OpTiming timeFc(TimingContext &ctx, const std::string &name,
                             int64_t in, int64_t out) = 0;
     virtual OpTiming timeSls(TimingContext &ctx, size_t table_index) = 0;
@@ -233,18 +209,6 @@ class ComputeBackend
 
 /** Build a backend instance for @p config (Cpu or Nmp). */
 std::unique_ptr<ComputeBackend> makeBackend(const BackendConfig &config);
-
-/**
- * Process-wide backend the execution plane dispatches through.
- * Defaults to CpuBackend with the auto ISA policy. setActiveBackend
- * also pins the KernelCache ISA policy to the config's, keeping the
- * two planes in agreement. Not thread-safe against concurrent kernel
- * calls — quiesce first (CLI startup / test setup), same contract as
- * KernelCache::setPolicy.
- */
-ComputeBackend &activeBackend();
-const BackendConfig &activeBackendConfig();
-void setActiveBackend(const BackendConfig &config);
 
 } // namespace recperf
 

@@ -123,13 +123,6 @@ MetricsRegistry::Shard::Shard()
     }
 }
 
-MetricsRegistry &
-MetricsRegistry::global()
-{
-    static MetricsRegistry *reg = new MetricsRegistry();
-    return *reg;
-}
-
 uint64_t
 MetricsRegistry::nextUid()
 {

@@ -1,7 +1,7 @@
 /**
  * @file
- * Process-wide metrics registry: counters, gauges, and HDR-style
- * latency histograms.
+ * Per-run metrics registry: counters, gauges, and HDR-style latency
+ * histograms.
  *
  * The paper's contribution is *characterization* — per-operator cycle
  * breakdowns (Fig 4/7), batching effects (Fig 8), tail latency
@@ -150,8 +150,8 @@ class LatencyHistogram
 };
 
 /**
- * The registry. Use MetricsRegistry::global() for the process-wide
- * instance; tests may construct private registries.
+ * The registry. Each run owns one and hands it to whatever exports
+ * into it; there is no process-wide instance.
  */
 class MetricsRegistry
 {
@@ -159,8 +159,6 @@ class MetricsRegistry
     MetricsRegistry() = default;
     MetricsRegistry(const MetricsRegistry &) = delete;
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
-
-    static MetricsRegistry &global();
 
     /**
      * Intern a metric by name (idempotent: the same name returns a

@@ -183,19 +183,6 @@ attributeTail(const std::vector<RequestRecord> &records)
     return a;
 }
 
-RequestLogger &
-RequestLogger::global()
-{
-    static RequestLogger *logger = new RequestLogger();
-    return *logger;
-}
-
-void
-RequestLogger::setEnabled(bool on)
-{
-    enabled_.store(on, std::memory_order_relaxed);
-}
-
 void
 RequestLogger::configure(const RequestLogOptions &options)
 {
@@ -224,8 +211,6 @@ RequestLogger::reset()
 void
 RequestLogger::record(const RequestRecord &rec)
 {
-    if (!enabled())
-        return;
     std::lock_guard<std::mutex> lock(mu_);
     ++recorded_;
     if (records_.size() >= options_.capacity) {

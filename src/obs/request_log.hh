@@ -19,9 +19,9 @@
  *  - recording rides the deterministic virtual clocks, so with a fixed
  *    seed the log is bit-identical across host thread counts, like the
  *    virtual trace lanes;
- *  - off by default; every emission site checks one relaxed atomic
- *    flag, and a disabled run's other exports are byte-identical to a
- *    build without this module.
+ *  - a run records only when its caller hands it a logger (the
+ *    serving loops test one pointer), and a run without one exports
+ *    byte-identical everything else.
  *
  * On top of the raw log sit windowed slowest-k / per-decile exemplar
  * reservoirs, and a blame decomposition of the p99-p50 gap: over the
@@ -34,7 +34,6 @@
 #ifndef RECPERF_OBS_REQUEST_LOG_HH
 #define RECPERF_OBS_REQUEST_LOG_HH
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -176,24 +175,19 @@ struct TailAttribution
 TailAttribution attributeTail(const std::vector<RequestRecord> &records);
 
 /**
- * Process-wide request logger. Use global() everywhere; tests may
- * construct private instances.
+ * One run's request log. The caller owns it and hands it to the run
+ * (Server::runOpenLoop, RunOptions::requestLog); a logger that exists
+ * records.
  */
 class RequestLogger
 {
   public:
-    RequestLogger() = default;
+    explicit RequestLogger(const RequestLogOptions &options = {})
+    {
+        configure(options);
+    }
     RequestLogger(const RequestLogger &) = delete;
     RequestLogger &operator=(const RequestLogger &) = delete;
-
-    static RequestLogger &global();
-
-    void setEnabled(bool on);
-
-    bool enabled() const
-    {
-        return enabled_.load(std::memory_order_relaxed);
-    }
 
     /** Install options and clear all captured state. */
     void configure(const RequestLogOptions &options);
@@ -249,14 +243,13 @@ class RequestLogger
     /**
      * Publish tail.* metrics: requests recorded/dropped counters,
      * p50/p99/gap gauges, one tail.blame.<cause> gauge per cause with
-     * nonzero mass, and the slowest exemplar latencies. Only called by
-     * the CLI when logging ran, so disabled runs export byte-identical
-     * metric sets.
+     * nonzero mass, and the slowest exemplar latencies. The CLI calls
+     * it only when the run had a logger, so runs without one export
+     * byte-identical metric sets.
      */
     void exportTo(MetricsRegistry &registry) const;
 
   private:
-    std::atomic<bool> enabled_{false};
     mutable std::mutex mu_;
     RequestLogOptions options_;
     std::vector<RequestRecord> records_;

@@ -21,34 +21,18 @@ num(double v)
 
 } // namespace
 
-TimeSeriesSampler &
-TimeSeriesSampler::global()
-{
-    static TimeSeriesSampler *sampler = new TimeSeriesSampler();
-    return *sampler;
-}
-
-void
-TimeSeriesSampler::setEnabled(bool on)
-{
-    enabled_.store(on, std::memory_order_relaxed);
-}
-
 void
 TimeSeriesSampler::configure(const TimeSeriesOptions &options)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    options_ = options;
-    if (options_.intervalSeconds <= 0.0)
-        options_.intervalSeconds = 0.01;
-    if (options_.capacity == 0)
-        options_.capacity = 1;
-    ring_.clear();
-    window_.clear();
-    anchored_ = false;
-    next_sample_t_ = 0.0;
-    taken_ = dropped_ = items_total_ = violations_total_ = 0;
-    last_burn_short_ = last_burn_long_ = 0.0;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        options_ = options;
+        if (options_.intervalSeconds <= 0.0)
+            options_.intervalSeconds = 0.01;
+        if (options_.capacity == 0)
+            options_.capacity = 1;
+    }
+    reset();
 }
 
 void
@@ -117,8 +101,6 @@ TimeSeriesSampler::captureLocked(double t)
 void
 TimeSeriesSampler::tick(double now)
 {
-    if (!enabled())
-        return;
     std::lock_guard<std::mutex> lock(mu_);
     if (!anchored_) {
         anchored_ = true;
@@ -156,8 +138,6 @@ TimeSeriesSampler::observeItem(double t, double latencySeconds,
                                bool violated)
 {
     (void)latencySeconds;
-    if (!enabled())
-        return;
     std::lock_guard<std::mutex> lock(mu_);
     ++items_total_;
     if (violated)

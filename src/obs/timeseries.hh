@@ -20,13 +20,13 @@
  * the SLO (e.g. p99 => 1% budget) allows, and >> 1 means the budget is
  * burning fast.
  *
- * Off by default; every emission site checks one relaxed atomic flag.
+ * A run samples only when its caller hands it a sampler; the serving
+ * loops test one pointer.
  */
 
 #ifndef RECPERF_OBS_TIMESERIES_HH
 #define RECPERF_OBS_TIMESERIES_HH
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -78,24 +78,19 @@ struct TimeSeriesSample
 };
 
 /**
- * Process-wide virtual-time sampler. Use global() everywhere; tests
- * may construct private instances.
+ * One run's virtual-time sampler. The caller owns it and hands it to
+ * the run (Server::runOpenLoop, RunOptions::timeSeries); a sampler
+ * that exists samples.
  */
 class TimeSeriesSampler
 {
   public:
-    TimeSeriesSampler() = default;
+    explicit TimeSeriesSampler(const TimeSeriesOptions &options = {})
+    {
+        configure(options);
+    }
     TimeSeriesSampler(const TimeSeriesSampler &) = delete;
     TimeSeriesSampler &operator=(const TimeSeriesSampler &) = delete;
-
-    static TimeSeriesSampler &global();
-
-    void setEnabled(bool on);
-
-    bool enabled() const
-    {
-        return enabled_.load(std::memory_order_relaxed);
-    }
 
     /** Install options and clear all captured state. */
     void configure(const TimeSeriesOptions &options);
@@ -164,7 +159,6 @@ class TimeSeriesSampler
     double burnLocked(double now, double window) const;
     void pruneLocked(double now);
 
-    std::atomic<bool> enabled_{false};
     mutable std::mutex mu_;
     TimeSeriesOptions options_;
     std::deque<TimeSeriesSample> ring_;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 
-#include "backend/compute_backend.hh"
 #include "core/aligned.hh"
 #include "core/logging.hh"
 #include "core/rng.hh"
@@ -46,8 +45,7 @@ gemmBt(const float *a, const float *b, float *c, int64_t m, int64_t n,
     }
     // One acquire-load dispatch in the steady state; the first touch
     // of a shape tunes under the cache mutex (never on the pool).
-    const KernelCache::GemmEntry &entry =
-        activeBackend().gemmKernel(m, n, k);
+    const KernelCache::GemmEntry &entry = KernelCache::global().gemm(m, n, k);
     const GemmTaskGrid grid{a, b, c, m, n, k, entry.plan, accumulate};
     const auto t0 = std::chrono::steady_clock::now();
     // One (mc x nc) task is the parallel grain. The lambda captures one

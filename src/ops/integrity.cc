@@ -234,136 +234,64 @@ checkEnvelope(const float *x, size_t n, float max_abs,
     }
 }
 
-IntegrityRuntime &
-IntegrityRuntime::global()
+InlineVerifyStats &
+InlineVerifyStats::operator+=(const InlineVerifyStats &o)
 {
-    static IntegrityRuntime runtime;
-    return runtime;
+    batches += o.batches;
+    verifiedBatches += o.verifiedBatches;
+    rowsVerified += o.rowsVerified;
+    detected += o.detected;
+    repaired += o.repaired;
+    return *this;
 }
 
 void
-IntegrityRuntime::setEnabled(bool on)
+InlineVerifyStats::exportTo(obs::MetricsRegistry &registry) const
 {
-    enabled_.store(on, std::memory_order_relaxed);
+    registry.counter("integrity.inline.batches").add(batches);
+    registry.counter("integrity.inline.verified_batches")
+        .add(verifiedBatches);
+    registry.counter("integrity.inline.rows_verified").add(rowsVerified);
+    registry.counter("integrity.inline.detected").add(detected);
+    registry.counter("integrity.inline.repaired").add(repaired);
 }
 
-void
-IntegrityRuntime::configure(double sample_rate, bool repair_on_detect)
+InlineVerifier::InlineVerifier(IntegrityShield &shield, double sample_rate,
+                               bool repair_on_detect)
+    : shield_(shield), repair_on_detect_(repair_on_detect)
 {
     RP_ASSERT(sample_rate > 0.0 && sample_rate <= 1.0,
               "inline sample rate %g outside (0,1]", sample_rate);
-    std::lock_guard<std::mutex> lock(mu_);
+    RP_ASSERT(shield.sealed(), "inline verification needs a sealed shield");
     every_n_ = std::max<uint64_t>(
         1, static_cast<uint64_t>(std::llround(1.0 / sample_rate)));
-    repair_on_detect_ = repair_on_detect;
 }
 
 void
-IntegrityRuntime::attach(const void *key, IntegrityShield *shield)
-{
-    RP_ASSERT(shield != nullptr && shield->sealed(),
-              "attach requires a sealed shield");
-    std::lock_guard<std::mutex> lock(mu_);
-    shields_[key] = Entry{shield, 0};
-}
-
-void
-IntegrityRuntime::detach(const void *key)
+InlineVerifier::onLookup(const std::vector<int64_t> &ids)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    shields_.erase(key);
-}
-
-void
-IntegrityRuntime::reset()
-{
-    setEnabled(false);
-    std::lock_guard<std::mutex> lock(mu_);
-    shields_.clear();
-    every_n_ = 1;
-    repair_on_detect_ = true;
-    batches_seen_ = 0;
-    batches_verified_ = 0;
-    rows_verified_ = 0;
-    detected_ = 0;
-    repaired_ = 0;
-}
-
-void
-IntegrityRuntime::onLookup(const void *key,
-                           const std::vector<int64_t> &ids)
-{
-    // Runs before the forward's parallelFor, so the per-shield batch
-    // counter (and thus which batches verify) is independent of the
-    // worker thread count.
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = shields_.find(key);
-    if (it == shields_.end())
+    if (++stats_.batches % every_n_ != 0)
         return;
-    Entry &entry = it->second;
-    ++batches_seen_;
-    if (++entry.batches % every_n_ != 0)
-        return;
-    ++batches_verified_;
+    ++stats_.verifiedBatches;
     std::vector<int64_t> rows(ids);
     std::sort(rows.begin(), rows.end());
     rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
     for (int64_t row : rows) {
-        ++rows_verified_;
-        if (entry.shield->verifyRow(row))
+        ++stats_.rowsVerified;
+        if (shield_.verifyRow(row))
             continue;
-        ++detected_;
-        if (repair_on_detect_ && entry.shield->repairRow(row))
-            ++repaired_;
+        ++stats_.detected;
+        if (repair_on_detect_ && shield_.repairRow(row))
+            ++stats_.repaired;
     }
 }
 
-uint64_t
-IntegrityRuntime::batchesSeen() const
+InlineVerifyStats
+InlineVerifier::stats() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return batches_seen_;
-}
-
-uint64_t
-IntegrityRuntime::batchesVerified() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return batches_verified_;
-}
-
-uint64_t
-IntegrityRuntime::rowsVerified() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return rows_verified_;
-}
-
-uint64_t
-IntegrityRuntime::corruptionsDetected() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return detected_;
-}
-
-uint64_t
-IntegrityRuntime::rowsRepaired() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return repaired_;
-}
-
-void
-IntegrityRuntime::exportTo(obs::MetricsRegistry &registry) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    registry.counter("integrity.inline.batches").add(batches_seen_);
-    registry.counter("integrity.inline.verified_batches")
-        .add(batches_verified_);
-    registry.counter("integrity.inline.rows_verified")
-        .add(rows_verified_);
-    registry.counter("integrity.inline.detected").add(detected_);
-    registry.counter("integrity.inline.repaired").add(repaired_);
+    return stats_;
 }
 
 } // namespace recperf

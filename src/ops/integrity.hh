@@ -12,10 +12,10 @@
  *    tables, quantized code/scale/bias triples, FC weight+bias rows),
  *    with primitive corruption operators (bit flips, stuck rows) and
  *    golden-copy repair;
- *  - IntegrityRuntime: a process-wide registry that, when enabled,
- *    samples SLS lookup batches and verifies the touched rows inline.
- *    Disabled (the default) it costs exactly one relaxed atomic load
- *    per lookup batch and leaves eval output bitwise identical;
+ *  - InlineVerifier: one table's inline check, which samples its SLS
+ *    lookup batches and verifies the touched rows. A table without
+ *    one (the default) pays one null-pointer test per lookup batch
+ *    and produces bitwise-identical output;
  *  - output-guard helpers: NaN/inf/range envelopes over activations.
  *
  * The virtual-time serving model (src/resilience/sdc.hh) reuses the
@@ -25,12 +25,10 @@
 #ifndef RECPERF_OPS_INTEGRITY_HH
 #define RECPERF_OPS_INTEGRITY_HH
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace recperf {
@@ -161,77 +159,53 @@ struct EnvelopeStats
 void checkEnvelope(const float *x, size_t n, float max_abs,
                    EnvelopeStats &stats);
 
+/** Counters of inline verification; they add across tables. */
+struct InlineVerifyStats
+{
+    uint64_t batches = 0;         ///< lookup batches seen
+    uint64_t verifiedBatches = 0; ///< batches sampled and verified
+    uint64_t rowsVerified = 0;    ///< unique rows checked
+    uint64_t detected = 0;        ///< rows failing their checksum
+    uint64_t repaired = 0;        ///< rows restored from the golden copy
+
+    InlineVerifyStats &operator+=(const InlineVerifyStats &o);
+
+    /** Export the integrity.inline.* counters. */
+    void exportTo(obs::MetricsRegistry &registry) const;
+};
+
 /**
- * Process-wide inline-verification hook on the SLS hot path.
- *
- * Both SLS forwards consult enabled() — one relaxed load — and, only
- * when true, pass their touched IDs to onLookup() before fanning out
- * to the kernel-cache fast path. Lookup batches are sampled
- * deterministically (a per-shield batch counter, independent of thread
- * count: the hook runs serially before the parallelFor); a sampled
- * batch verifies the checksums of its unique touched rows and, on
- * mismatch, repairs from the golden copy so subsequent output is
- * clean. Counters are only meaningful between reset() calls.
+ * Inline verification of one table's SLS lookups. The table holds a
+ * not-owned pointer to its verifier (setVerifier) and hands it each
+ * batch's touched IDs serially, before fanning out to the kernel, so
+ * the per-table batch counter, and thus which batches verify, does
+ * not depend on the thread count. Batch k is verified when
+ * k % round(1/sample_rate) == 0; a verified batch checks its unique
+ * touched rows and, on mismatch, repairs from the golden copy so the
+ * gather reads clean rows.
  */
-class IntegrityRuntime
+class InlineVerifier
 {
   public:
-    static IntegrityRuntime &global();
-
-    /** Fast-path gate; relaxed load, false by default. */
-    bool enabled() const
-    {
-        return enabled_.load(std::memory_order_relaxed);
-    }
-
-    void setEnabled(bool on);
-
     /**
-     * @param sample_rate fraction of lookup batches verified, in
-     *        (0, 1]; batch k is verified when k % round(1/rate) == 0.
+     * @param shield the table's sealed shield; must outlive this.
+     * @param sample_rate fraction of lookup batches verified, in (0, 1].
      * @param repair_on_detect restore golden bytes on mismatch.
      */
-    void configure(double sample_rate, bool repair_on_detect = true);
-
-    /** Register @p shield for the table whose `this` is @p key. */
-    void attach(const void *key, IntegrityShield *shield);
-
-    void detach(const void *key);
-
-    /** Disable, detach all shields, zero counters, default config. */
-    void reset();
+    InlineVerifier(IntegrityShield &shield, double sample_rate,
+                   bool repair_on_detect = true);
 
     /** Called by the SLS forwards with the batch's touched IDs. */
-    void onLookup(const void *key, const std::vector<int64_t> &ids);
+    void onLookup(const std::vector<int64_t> &ids);
 
-    uint64_t batchesSeen() const;
-    uint64_t batchesVerified() const;
-    uint64_t rowsVerified() const;
-    uint64_t corruptionsDetected() const;
-    uint64_t rowsRepaired() const;
-
-    /** Export integrity.inline.* counters (call only after use). */
-    void exportTo(obs::MetricsRegistry &registry) const;
+    InlineVerifyStats stats() const;
 
   private:
-    IntegrityRuntime() = default;
-
-    struct Entry
-    {
-        IntegrityShield *shield = nullptr;
-        uint64_t batches = 0; ///< lookup batches seen for this shield
-    };
-
-    std::atomic<bool> enabled_{false};
+    IntegrityShield &shield_;
+    bool repair_on_detect_;
+    uint64_t every_n_ = 1;
     mutable std::mutex mu_;
-    std::unordered_map<const void *, Entry> shields_;
-    uint64_t every_n_ = 1; ///< verify every Nth batch per shield
-    bool repair_on_detect_ = true;
-    uint64_t batches_seen_ = 0;
-    uint64_t batches_verified_ = 0;
-    uint64_t rows_verified_ = 0;
-    uint64_t detected_ = 0;
-    uint64_t repaired_ = 0;
+    InlineVerifyStats stats_;
 };
 
 } // namespace recperf

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "backend/compute_backend.hh"
 #include "core/logging.hh"
 #include "core/thread_pool.hh"
 #include "obs/trace.hh"
@@ -68,10 +67,9 @@ QuantizedEmbeddingTable::forward(const std::vector<int64_t> &ids,
               "sum(lengths)=%lld != ids.size()=%zu",
               static_cast<long long>(total), ids.size());
 
-    // Same inline integrity hook as EmbeddingTable::forward: a single
-    // relaxed load when disabled, serial sampled verification when on.
-    if (IntegrityRuntime::global().enabled())
-        IntegrityRuntime::global().onLookup(this, ids);
+    // Same serial inline integrity hook as EmbeddingTable::forward.
+    if (verifier_)
+        verifier_->onLookup(ids);
 
     // Mirrors EmbeddingTable::forward: prefix offsets decouple the
     // slots, the pool fans them out, and the dequantize scratch row is
@@ -90,7 +88,7 @@ QuantizedEmbeddingTable::forward(const std::vector<int64_t> &ids,
     // Fused dequantize-accumulate through the tuned kernel: no scratch
     // row, and vector tiers fold the mul-add into one FMA (tolerance,
     // not bitwise, vs the scalar tier — DESIGN.md §14).
-    const KernelCache::SlsEntry &entry = activeBackend().slsKernel(
+    const KernelCache::SlsEntry &entry = KernelCache::global().sls(
         dim_, poolingBucket(slots > 0 ? total / slots : 0),
         /*quantized=*/true);
     const microkernels::QslsAccumFn accum = entry.plan.qfn;

@@ -70,12 +70,16 @@ class QuantizedEmbeddingTable
     float *scaleData() { return scales_.data(); }
     float *biasData() { return biases_.data(); }
 
+    /** Check lookups through @p verifier (not owned; null = off). */
+    void setVerifier(InlineVerifier *verifier) { verifier_ = verifier; }
+
   private:
     int64_t rows_;
     int64_t dim_;
     std::vector<uint8_t> codes_;  ///< rows_ x dim_ int8 codes
     std::vector<float> scales_;   ///< per-row scale
     std::vector<float> biases_;   ///< per-row bias (row minimum)
+    InlineVerifier *verifier_ = nullptr;
 };
 
 } // namespace recperf

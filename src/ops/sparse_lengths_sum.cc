@@ -4,7 +4,6 @@
 #include <chrono>
 #include <numeric>
 
-#include "backend/compute_backend.hh"
 #include "core/logging.hh"
 #include "core/rng.hh"
 #include "core/thread_pool.hh"
@@ -41,12 +40,11 @@ EmbeddingTable::forward(const std::vector<int64_t> &ids,
               "sum(lengths)=%lld != ids.size()=%zu",
               static_cast<long long>(total), ids.size());
 
-    // Inline sampled integrity verification: one relaxed load when the
-    // runtime is disabled (the default), and serial — ahead of the
-    // parallel fan-out — when on, so sampling stays deterministic
-    // across thread counts.
-    if (IntegrityRuntime::global().enabled())
-        IntegrityRuntime::global().onLookup(this, ids);
+    // Inline sampled integrity verification: serial, ahead of the
+    // parallel fan-out, so sampling stays deterministic across thread
+    // counts.
+    if (verifier_)
+        verifier_->onLookup(ids);
 
     // Prefix offsets make each output slot independent, so the slot
     // loop fans out across the pool; each slot's gather keeps its
@@ -66,7 +64,7 @@ EmbeddingTable::forward(const std::vector<int64_t> &ids,
     // The cache key buckets average pooling: the row-accumulate kernel
     // (vector tier + unroll) is what tuning picks, and element-wise
     // vertical adds keep every tier bit-identical to scalar.
-    const KernelCache::SlsEntry &entry = activeBackend().slsKernel(
+    const KernelCache::SlsEntry &entry = KernelCache::global().sls(
         dim_, poolingBucket(slots > 0 ? total / slots : 0),
         /*quantized=*/false);
     const microkernels::SlsAccumFn accum = entry.plan.fn;

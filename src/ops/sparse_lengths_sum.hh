@@ -19,6 +19,7 @@
 
 namespace recperf {
 
+class InlineVerifier;
 class Rng;
 
 /** Reduction applied across the gathered embedding rows. */
@@ -52,6 +53,9 @@ class EmbeddingTable
     /** Storage footprint in bytes at fp32. */
     int64_t storageBytes() const { return paramCount() * 4; }
 
+    /** Check lookups through @p verifier (not owned; null = off). */
+    void setVerifier(InlineVerifier *verifier) { verifier_ = verifier; }
+
     /**
      * Pooled lookup, exactly Algorithm 1 (SLS pseudo-code).
      *
@@ -78,6 +82,7 @@ class EmbeddingTable
     int64_t rows_;
     int64_t dim_;
     Tensor table_;
+    InlineVerifier *verifier_ = nullptr;
 };
 
 } // namespace recperf

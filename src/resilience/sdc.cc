@@ -89,6 +89,16 @@ SdcController::SdcController(const SdcOptions &options,
 void
 SdcController::calibrate(double fresh_p50_seconds, double stream_gbps)
 {
+    // Each canary costs one fresh inference of serving capacity; an
+    // interval no longer than that schedules canary work faster than
+    // it lets the clock advance, so the run would never finish.
+    const double canary = options_.canaryIntervalSeconds;
+    if (canary > 0.0 && canary <= fresh_p50_seconds) {
+        throw FatalError(strprintf(
+            "canary interval %g ms must be longer than the calibrated "
+            "per-canary cost %g ms (one fresh inference)", canary * 1e3,
+            fresh_p50_seconds * 1e3));
+    }
     fresh_p50_ = fresh_p50_seconds;
     stream_gbps_ = stream_gbps;
     if (options_.scrubIntervalSeconds > 0.0) {

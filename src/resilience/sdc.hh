@@ -156,7 +156,11 @@ class SdcController
                   FaultInjector *injector, uint64_t lookup_seed,
                   int64_t batch, int64_t lookups_per_table);
 
-    /** Wire measured/derived run constants after warm-up. */
+    /**
+     * Wire measured/derived run constants after warm-up. Throws
+     * FatalError when canaries are on and their interval is not
+     * longer than one canary's cost, @p fresh_p50_seconds.
+     */
     void calibrate(double fresh_p50_seconds, double stream_gbps);
 
     /** Route trace emission; @p lane_base is the first free virtual

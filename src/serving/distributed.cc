@@ -206,12 +206,6 @@ ShardedInference::run(const RunOptions &options)
     std::string sdc_err = options.sdc.validate();
     RP_ASSERT(sdc_err.empty(), "%s", sdc_err.c_str());
 
-    if (options.backend) {
-        for (std::unique_ptr<ModelTimer> &timer : shard_timers_)
-            timer->setBackend(*options.backend);
-        agg_timer_->setBackend(*options.backend);
-    }
-
     FaultInjector injector(
         options.faults,
         numNodes() * (replicated ? options.replicas->replicas : 1));
@@ -315,13 +309,12 @@ ShardedInference::run(const RunOptions &options)
     obs::HwTelemetry &telem = obs::HwTelemetry::global();
     if (telem.enabled())
         telem.reset();
-    obs::TimeSeriesSampler &sampler = obs::TimeSeriesSampler::global();
-    if (sampler.enabled())
-        sampler.reset();
-    obs::RequestLogger &rlog = obs::RequestLogger::global();
-    const bool rlog_on = rlog.enabled();
-    if (rlog_on)
-        rlog.reset();
+    obs::TimeSeriesSampler *sampler = options.timeSeries;
+    if (sampler)
+        sampler->reset();
+    obs::RequestLogger *rlog = options.requestLog;
+    if (rlog)
+        rlog->reset();
 
     double now = 0.0;
     double sum_slowest = 0.0;
@@ -396,7 +389,7 @@ ShardedInference::run(const RunOptions &options)
                              {"base_us",
                               strprintf("%.3f", base * 1e6)}});
             }
-            if (rlog_on) {
+            if (rlog) {
                 rl_retries += out.retries;
                 rl_hedges += out.hedges;
                 rl_hedge_wins += out.hedgeWins;
@@ -473,8 +466,9 @@ ShardedInference::run(const RunOptions &options)
                                0);
             }
             now += consumed;
-            sampler.observeItem(now, consumed, true);
-            if (rlog_on) {
+            if (sampler)
+                sampler->observeItem(now, consumed, true);
+            if (rlog) {
                 obs::RequestRecord rec =
                     base_record(obs::RequestOutcome::Cancelled,
                                 consumed);
@@ -483,11 +477,12 @@ ShardedInference::run(const RunOptions &options)
                 // shards; blame it on the retry lane.
                 rec.phase[static_cast<size_t>(
                     obs::RequestPhase::Retry)] = consumed;
-                rlog.record(rec);
+                rlog->record(rec);
             }
             if (telem.enabled())
                 telem.emitCounters(tracer, now, 0);
-            sampler.tick(now);
+            if (sampler)
+                sampler->tick(now);
             continue;
         }
         ModelTiming agg = agg_timer_->run();
@@ -518,8 +513,9 @@ ShardedInference::run(const RunOptions &options)
             sum_slowest += slowest;
             sum_agg += agg_seconds;
             now += total;
-            sampler.observeItem(now, total, false);
-            if (rlog_on) {
+            if (sampler)
+                sampler->observeItem(now, total, false);
+            if (rlog) {
                 obs::RequestRecord rec =
                     base_record(obs::RequestOutcome::Served, total);
                 // Decompose the critical shard's elapsed time:
@@ -545,7 +541,7 @@ ShardedInference::run(const RunOptions &options)
                     crit_verify + guard_extra;
                 ph(obs::RequestPhase::Network) = network;
                 ph(obs::RequestPhase::Aggregate) = agg_seconds;
-                rlog.record(rec);
+                rlog->record(rec);
             }
         } else {
             // The aggregator abandons the inference once the slowest
@@ -559,8 +555,9 @@ ShardedInference::run(const RunOptions &options)
                                now + elapsed_max, 0);
             }
             now += elapsed_max + network;
-            sampler.observeItem(now, elapsed_max + network, true);
-            if (rlog_on) {
+            if (sampler)
+                sampler->observeItem(now, elapsed_max + network, true);
+            if (rlog) {
                 obs::RequestRecord rec =
                     base_record(obs::RequestOutcome::Failed,
                                 elapsed_max + network);
@@ -571,14 +568,15 @@ ShardedInference::run(const RunOptions &options)
                     obs::RequestPhase::Retry)] = elapsed_max;
                 rec.phase[static_cast<size_t>(
                     obs::RequestPhase::Network)] = network;
-                rlog.record(rec);
+                rlog->record(rec);
             }
         }
         // `now` only moves forward, so the counter tracks carry
         // monotone virtual timestamps.
         if (telem.enabled())
             telem.emitCounters(tracer, now, 0);
-        sampler.tick(now);
+        if (sampler)
+            sampler->tick(now);
     }
     result.duration = now;
 

@@ -31,6 +31,11 @@
 
 namespace recperf {
 
+namespace obs {
+class RequestLogger;
+class TimeSeriesSampler;
+} // namespace obs
+
 /** Data-center network between shard nodes and the aggregator. */
 struct NetworkConfig
 {
@@ -117,12 +122,12 @@ struct RunOptions
     FaultLog *faultLog = nullptr;
 
     /**
-     * Optional compute-backend override: when engaged, every shard
-     * timer (and the aggregator) is rebound to this backend at run
-     * start. Disengaged keeps whatever TimerOptions::backend the
-     * timers were constructed with.
+     * Optional sinks of the measured window, reset when it starts:
+     * one causal record per inference and the virtual-time series.
+     * Not owned; null means off.
      */
-    std::optional<BackendConfig> backend;
+    obs::RequestLogger *requestLog = nullptr;
+    obs::TimeSeriesSampler *timeSeries = nullptr;
 };
 
 /**
@@ -279,7 +284,9 @@ class ShardedInference
      * shard's own timing model. `options.chaos` layers scripted fault
      * windows (kills, rack failures, straggler storms) on top.
      *
-     * Fully deterministic for fixed seeds.
+     * Fully deterministic for fixed seeds. Throws FatalError, before
+     * any measured inference, when the SDC canary interval is not
+     * longer than the calibrated per-canary cost.
      */
     RunResult run(const RunOptions &options);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <queue>
 
 #include "core/logging.hh"
@@ -376,7 +377,9 @@ Server::serviceBatch(size_t worker, int64_t batch, double now,
 }
 
 ServingStats
-Server::runOpenLoop(double items_per_second, uint64_t num_items)
+Server::runOpenLoop(double items_per_second, uint64_t num_items,
+                    obs::RequestLogger *rlog,
+                    obs::TimeSeriesSampler *sampler)
 {
     RP_ASSERT(items_per_second > 0.0, "arrival rate must be positive");
     RP_ASSERT(num_items > 0, "need at least one item");
@@ -416,13 +419,10 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
     obs::HwTelemetry &telem = obs::HwTelemetry::global();
     if (telem.enabled())
         telem.reset();
-    obs::TimeSeriesSampler &sampler = obs::TimeSeriesSampler::global();
-    if (sampler.enabled())
-        sampler.reset();
-    obs::RequestLogger &rlog = obs::RequestLogger::global();
-    const bool rlog_on = rlog.enabled();
-    if (rlog_on)
-        rlog.reset();
+    if (sampler)
+        sampler->reset();
+    if (rlog)
+        rlog->reset();
 
     std::priority_queue<WorkerSlot, std::vector<WorkerSlot>,
                         std::greater<>> free_at;
@@ -446,7 +446,7 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
     // exported slo.* gauges, and so it sees shed/cancelled items too.
     const bool deadline_on = options_.deadlineSeconds > 0.0;
     const double deadline_budget = options_.deadlineSeconds;
-    obs::TimeSeriesSampler brown_sensor;
+    std::optional<obs::TimeSeriesSampler> brown_sensor;
     BrownoutController brownout(options_.brownout);
     if (options_.brownout.enabled) {
         obs::TimeSeriesOptions sensor_opts;
@@ -455,8 +455,7 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
         sensor_opts.longWindowSeconds =
             options_.brownout.longWindowSeconds;
         sensor_opts.errorBudget = options_.brownout.errorBudget;
-        brown_sensor.configure(sensor_opts);
-        brown_sensor.setEnabled(true);
+        brown_sensor.emplace(sensor_opts);
     }
     // Recent per-batch service times; their p50 is the admission
     // estimate a deadline is checked against. Seeded by the warm-up
@@ -467,13 +466,15 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
                                       : percentile(recent_service, 50.0);
     };
     auto observe_outcome = [&](double t, double latency, bool violated) {
-        sampler.observeItem(t, latency, violated);
-        brown_sensor.observeItem(t, latency, violated);
+        if (sampler)
+            sampler->observeItem(t, latency, violated);
+        if (brown_sensor)
+            brown_sensor->observeItem(t, latency, violated);
     };
     // One causal record per item that never reached a worker: all of
     // its life was queue wait, so the phase vector is pure Queue and
     // tiles the latency trivially.
-    auto shed_record = [&rlog](uint64_t id, double arrival, double at,
+    auto shed_record = [rlog](uint64_t id, double arrival, double at,
                                obs::RequestOutcome outcome,
                                bool violated, double estimate,
                                BrownoutLevel lvl, bool was_degraded) {
@@ -490,7 +491,7 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
         rec.admissionEstimate = static_cast<float>(estimate);
         rec.phase[static_cast<size_t>(obs::RequestPhase::Queue)] =
             rec.latency;
-        rlog.record(rec);
+        rlog->record(rec);
     };
 
     ServingStats stats;
@@ -534,9 +535,9 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
             BrownoutLevel prev = brownout.level();
             level = brownout.update(
                 start,
-                brown_sensor.burnRate(
+                brown_sensor->burnRate(
                     start, options_.brownout.shortWindowSeconds),
-                brown_sensor.burnRate(
+                brown_sensor->burnRate(
                     start, options_.brownout.longWindowSeconds));
             if (level != prev) {
                 ++stats.brownoutTransitions;
@@ -571,7 +572,7 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
                         tracer.instant("deadline", "expired_queue",
                                        start, 0);
                     }
-                    if (rlog_on) {
+                    if (rlog) {
                         shed_record(
                             next, arrivals[next], start,
                             obs::RequestOutcome::ShedDeadlineQueue,
@@ -589,7 +590,7 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
                         tracer.instant("deadline", "shed_admission",
                                        start, 0);
                     }
-                    if (rlog_on) {
+                    if (rlog) {
                         shed_record(
                             next, arrivals[next], start,
                             obs::RequestOutcome::ShedAdmissionDeadline,
@@ -604,7 +605,7 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
                 ++stats.shedItems;
                 if (tracer.enabled())
                     tracer.instant("serve", "shed", start, 0);
-                if (rlog_on) {
+                if (rlog) {
                     shed_record(next, arrivals[next], start,
                                 obs::RequestOutcome::ShedAdmission,
                                 false, service_estimate, level,
@@ -617,7 +618,7 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
                 ++stats.droppedLowPriority;
                 if (tracer.enabled())
                     tracer.instant("serve", "drop_low_priority", start, 0);
-                if (rlog_on) {
+                if (rlog) {
                     shed_record(next, arrivals[next], start,
                                 obs::RequestOutcome::DroppedLowPriority,
                                 false, service_estimate, level,
@@ -682,7 +683,8 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
         // across host thread counts.
         if (telem.enabled())
             telem.emitCounters(tracer, start, 0);
-        sampler.tick(start);
+        if (sampler)
+            sampler->tick(start);
 
         // Served-item phase decomposition: the span on the worker is
         // the batch service time; dividing out the injected fault
@@ -714,7 +716,7 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
                 obs::RequestPhase::Service)] = service_clean;
             rec.phase[static_cast<size_t>(
                 obs::RequestPhase::Straggler)] = service_straggler;
-            rlog.record(rec);
+            rlog->record(rec);
         };
         for (size_t i = 0; i < batch_arrivals.size(); ++i) {
             double arrival = batch_arrivals[i];
@@ -728,7 +730,7 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
                     tracer.instant("deadline", "cancelled", finish,
                                    static_cast<uint32_t>(1 + w));
                 }
-                if (rlog_on) {
+                if (rlog) {
                     served_record(batch_ids[i], arrival, latency,
                                   obs::RequestOutcome::Cancelled,
                                   true);
@@ -749,7 +751,7 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
                 stats.qualitySum +=
                     options_.brownout.qualityScore(level);
             }
-            if (rlog_on) {
+            if (rlog) {
                 served_record(batch_ids[i], arrival, latency,
                               obs::RequestOutcome::Served, violated);
             }
@@ -761,7 +763,8 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items)
 
     if (telem.enabled())
         telem.emitCounters(tracer, last_finish, 0);
-    sampler.tick(last_finish);
+    if (sampler)
+        sampler->tick(last_finish);
 
     stats.finalBrownoutLevel =
         static_cast<uint32_t>(brownout.level());

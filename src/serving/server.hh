@@ -31,6 +31,11 @@
 
 namespace recperf {
 
+namespace obs {
+class RequestLogger;
+class TimeSeriesSampler;
+} // namespace obs
+
 /** Serving-layer configuration. */
 struct ServerOptions
 {
@@ -201,8 +206,14 @@ class Server
     /**
      * Open-loop run: Poisson item arrivals at @p items_per_second for
      * @p num_items items.
+     * @param request_log records one causal record per item.
+     * @param time_series samples the run on its virtual clock.
+     * Both sinks are not owned, null means off, and the run resets
+     * each at the start of its measured window.
      */
-    ServingStats runOpenLoop(double items_per_second, uint64_t num_items);
+    ServingStats runOpenLoop(double items_per_second, uint64_t num_items,
+                             obs::RequestLogger *request_log = nullptr,
+                             obs::TimeSeriesSampler *time_series = nullptr);
 
     /**
      * Install a cooperative cancellation token checked at batch

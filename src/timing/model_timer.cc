@@ -59,13 +59,6 @@ ModelTimer::setContention(uint32_t active_tenants,
     other_dram_bytes_per_inf_ = other_dram_bytes_per_inf;
 }
 
-void
-ModelTimer::setBackend(const BackendConfig &backend)
-{
-    options_.backend = backend;
-    backend_ = makeBackend(backend);
-}
-
 TimingContext
 ModelTimer::makeContext()
 {

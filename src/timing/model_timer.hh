@@ -111,13 +111,6 @@ class ModelTimer
      */
     void setBatch(int64_t batch);
 
-    /**
-     * Rebind this timer to a different compute backend (e.g. a
-     * RunOptions-level backend override at run start). Trace, cache,
-     * and contention state are untouched.
-     */
-    void setBackend(const BackendConfig &backend);
-
     /** Time one inference, advancing cache and trace state. */
     ModelTiming run();
 
@@ -130,7 +123,7 @@ class ModelTimer
     const ModelConfig &config() const { return config_; }
     const TimerOptions &options() const { return options_; }
 
-    /** The backend currently modeling this timer's operators. */
+    /** The backend modeling this timer's operators. */
     const ComputeBackend &backend() const { return *backend_; }
 
     /** DRAM bytes this tenant filled during its most recent run(). */

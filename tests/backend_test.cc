@@ -6,10 +6,11 @@
  * pre-backend code moved verbatim, so the default path must stay
  * bitwise-identical — both the functional plane (eval checksums, here
  * as golden FNV-1a constants at the pinned scalar tier) and the timing
- * plane (default-constructed BackendConfig vs explicit cpu). The NMP
- * engine shares the host kernels, so backends agree numerically on
- * SLS outputs bit-for-bit; it differs only in the cost model, where it
- * must actually pay off on the embedding-bound models.
+ * plane (default-constructed BackendConfig vs explicit cpu). The
+ * functional kernels take no backend, so timing a model under the NMP
+ * engine leaves every functional output bit-for-bit unchanged; NMP
+ * differs only in the cost model, where it must actually pay off on
+ * the embedding-bound models.
  *
  * The golden checksums reproduce `recperf eval --model rmcX --isa
  * scalar` (rows capped at 4096, batch 16, seed 42). CI runs this
@@ -27,36 +28,26 @@
 #include "machine/machine_spec.hh"
 #include "model/rec_model.hh"
 #include "model/zoo.hh"
+#include "ops/kernel_cache.hh"
 #include "ops/sparse_lengths_sum.hh"
 #include "timing/model_timer.hh"
 
 namespace recperf {
 namespace {
 
-/** Restore the process-wide backend when a test changes it. */
-class ScopedBackend
+/** Pin the kernel cache to the scalar tier; restore it after. */
+class ScopedScalarIsa
 {
   public:
-    explicit ScopedBackend(const BackendConfig &config)
-        : saved_(activeBackendConfig())
+    ScopedScalarIsa() : saved_(KernelCache::global().policy())
     {
-        setActiveBackend(config);
+        KernelCache::global().setPolicy(IsaPolicy{false, KernelIsa::Scalar});
     }
-    ~ScopedBackend() { setActiveBackend(saved_); }
+    ~ScopedScalarIsa() { KernelCache::global().setPolicy(saved_); }
 
   private:
-    BackendConfig saved_;
+    IsaPolicy saved_;
 };
-
-BackendConfig
-pinnedScalarConfig(BackendKind kind)
-{
-    BackendConfig config;
-    config.kind = kind;
-    config.isa.autoSelect = false;
-    config.isa.pinned = KernelIsa::Scalar;
-    return config;
-}
 
 /** FNV-1a over a tensor's bytes — the eval checksum, verbatim. */
 uint64_t
@@ -100,9 +91,9 @@ timeWith(const ModelConfig &cfg, const BackendConfig &backend,
 TEST(BackendParity, CpuGoldenChecksumsScalar)
 {
     // Golden constants recorded from the pre-refactor binary
-    // (`eval --model rmcX --isa scalar`). Any change to the CpuBackend
-    // hot path that lands here is a silent numerics break.
-    ScopedBackend scoped(pinnedScalarConfig(BackendKind::Cpu));
+    // (`eval --model rmcX --isa scalar`). Any change to the kernel hot
+    // path that lands here is a silent numerics break.
+    ScopedScalarIsa scalar;
     EXPECT_EQ(evalChecksum(rmc1Small()), 0xe71e7fb4d9ae888dULL);
     EXPECT_EQ(evalChecksum(rmc2Small()), 0x48241e8356dd7045ULL);
     EXPECT_EQ(evalChecksum(rmc3Small()), 0x259a7fa40b909f97ULL);
@@ -110,10 +101,12 @@ TEST(BackendParity, CpuGoldenChecksumsScalar)
 
 TEST(BackendParity, NmpMatchesCpuChecksumsScalar)
 {
-    // The NMP backend re-models cost, not math: it delegates to the
-    // same shape-keyed kernel cache, so the functional plane is
-    // bit-identical across backends.
-    ScopedBackend scoped(pinnedScalarConfig(BackendKind::Nmp));
+    // The NMP backend re-models cost, not math: timing a model under
+    // it leaves the functional plane on the CPU golden checksums.
+    ScopedScalarIsa scalar;
+    BackendConfig nmp;
+    nmp.kind = BackendKind::Nmp;
+    (void)timeWith(rmc2Small(), nmp);
     EXPECT_EQ(evalChecksum(rmc1Small()), 0xe71e7fb4d9ae888dULL);
     EXPECT_EQ(evalChecksum(rmc2Small()), 0x48241e8356dd7045ULL);
 }
@@ -130,15 +123,15 @@ TEST(BackendParity, SlsOutputBitIdenticalAcrossBackends)
             ids.push_back(static_cast<int64_t>(id_rng.nextBelow(512)));
     }
 
-    Tensor cpu_out, nmp_out;
-    {
-        ScopedBackend scoped(pinnedScalarConfig(BackendKind::Cpu));
-        cpu_out = table.forward(ids, lengths);
-    }
-    {
-        ScopedBackend scoped(pinnedScalarConfig(BackendKind::Nmp));
-        nmp_out = table.forward(ids, lengths);
-    }
+    // Every table offloads, so the NMP engine's gather model runs;
+    // the real gather before and after must agree bit for bit.
+    ScopedScalarIsa scalar;
+    Tensor cpu_out = table.forward(ids, lengths);
+    BackendConfig nmp;
+    nmp.kind = BackendKind::Nmp;
+    nmp.nmp.placement = NmpPlacement::All;
+    (void)timeWith(rmc2Small(), nmp);
+    Tensor nmp_out = table.forward(ids, lengths);
     ASSERT_EQ(cpu_out.shape(), nmp_out.shape());
     EXPECT_EQ(std::memcmp(cpu_out.data(), nmp_out.data(),
                           static_cast<size_t>(cpu_out.size()) *

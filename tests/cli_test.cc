@@ -30,13 +30,16 @@ struct CliRun
 };
 
 /**
- * Run `recperf <args>` through the shell. Captures stdout, or stderr
- * (with stdout discarded) when @p capture_stderr is set.
+ * Run `recperf <args>` through the shell, killed after 120 s so an
+ * input that never terminates fails the test instead of hanging it.
+ * Captures stdout, or stderr (with stdout discarded) when
+ * @p capture_stderr is set.
  */
 CliRun
 runCli(const std::string &args, bool capture_stderr = false)
 {
-    std::string cmd = std::string("'") + RECPERF_CLI + "' " + args +
+    std::string cmd = std::string("timeout 120 '") + RECPERF_CLI + "' " +
+        args +
         (capture_stderr ? " 2>&1 >/dev/null" : " 2>/dev/null");
     CliRun run;
     std::FILE *pipe = popen(cmd.c_str(), "r");
@@ -161,6 +164,31 @@ TEST(CliContract, FlagsACommandIgnoresExitTwo)
     std::remove(trace.c_str());
     expectUsageError("colocate --trace-out " + trace);
     EXPECT_FALSE(std::ifstream(trace).good()) << "wrote " << trace;
+}
+
+TEST(CliContract, ReplicaFlagsWithOneReplicaExitTwo)
+{
+    // The failover layer only runs at --replicas >= 2.
+    for (const char *args :
+         {"shard --iters 10 --router p2c",
+          "shard --iters 10 --breaker-errors 5",
+          "shard --iters 10 --warmup-ms 3", "shard --iters 10 --chaos-ms 3",
+          "shard --iters 10 --chaos-events 2"}) {
+        expectUsageError(args);
+    }
+}
+
+TEST(CliContract, SdcInputsThatNeverFinishExitTwo)
+{
+    // Corruption and scrub rates outside their finite domains, and a
+    // canary interval no longer than one canary's calibrated cost,
+    // would schedule work faster than the virtual clock advances.
+    for (const char *args :
+         {"shard --iters 10 --corrupt-rate 1e300",
+          "shard --iters 10 --scrub-interval-ms 1e-300",
+          "shard --iters 100 --integrity-canary-ms 0.01"}) {
+        expectUsageError(args);
+    }
 }
 
 TEST(CliContract, ChildFlagWithoutParentExitsTwo)

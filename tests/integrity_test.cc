@@ -12,10 +12,13 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "core/rng.hh"
 #include "core/thread_pool.hh"
+#include "model/rec_model.hh"
+#include "model/zoo.hh"
 #include "obs/metrics.hh"
 #include "ops/fully_connected.hh"
 #include "ops/integrity.hh"
@@ -29,11 +32,7 @@ namespace {
 class IntegrityTest : public ::testing::Test
 {
   protected:
-    void TearDown() override
-    {
-        IntegrityRuntime::global().reset();
-        setGlobalThreadCount(0);
-    }
+    void TearDown() override { setGlobalThreadCount(0); }
 };
 
 EmbeddingTable
@@ -204,16 +203,15 @@ TEST_F(IntegrityTest, InlineVerificationDetectsAndRepairsOnHotPath)
     shield.seal();
     // Corrupt a row the lookup touches.
     shield.flipBit(ids[0], 13);
-    IntegrityRuntime &rt = IntegrityRuntime::global();
-    rt.configure(1.0, /*repair_on_detect=*/true);
-    rt.attach(&table, &shield);
-    rt.setEnabled(true);
+    InlineVerifier verifier(shield, 1.0, /*repair_on_detect=*/true);
+    table.setVerifier(&verifier);
 
     Tensor healed = table.forward(ids, lengths);
-    EXPECT_EQ(rt.batchesSeen(), 1u);
-    EXPECT_EQ(rt.batchesVerified(), 1u);
-    EXPECT_EQ(rt.corruptionsDetected(), 1u);
-    EXPECT_EQ(rt.rowsRepaired(), 1u);
+    InlineVerifyStats stats = verifier.stats();
+    EXPECT_EQ(stats.batches, 1u);
+    EXPECT_EQ(stats.verifiedBatches, 1u);
+    EXPECT_EQ(stats.detected, 1u);
+    EXPECT_EQ(stats.repaired, 1u);
     // Repair happened before the gather: output matches the clean run.
     EXPECT_EQ(std::memcmp(clean.data(), healed.data(),
                           static_cast<size_t>(clean.size()) *
@@ -221,13 +219,11 @@ TEST_F(IntegrityTest, InlineVerificationDetectsAndRepairsOnHotPath)
               0);
     EXPECT_TRUE(shield.scanCorrupted().empty());
 
-    obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-    reg.reset();
-    rt.exportTo(reg);
+    obs::MetricsRegistry reg;
+    stats.exportTo(reg);
     obs::MetricsSnapshot snap = reg.snapshot();
     EXPECT_EQ(snap.counter("integrity.inline.detected"), 1u);
     EXPECT_EQ(snap.counter("integrity.inline.repaired"), 1u);
-    reg.reset();
 }
 
 TEST_F(IntegrityTest, QuantizedInlineHookVerifiesSampledBatches)
@@ -237,14 +233,12 @@ TEST_F(IntegrityTest, QuantizedInlineHookVerifiesSampledBatches)
     IntegrityShield shield = IntegrityShield::forQuantized(qtable);
     shield.seal();
     shield.flipBit(7, 2);
-    IntegrityRuntime &rt = IntegrityRuntime::global();
-    rt.configure(1.0);
-    rt.attach(&qtable, &shield);
-    rt.setEnabled(true);
+    InlineVerifier verifier(shield, 1.0);
+    qtable.setVerifier(&verifier);
     std::vector<int64_t> ids = {7, 8, 9}, lengths = {3};
     (void)qtable.forward(ids, lengths);
-    EXPECT_EQ(rt.corruptionsDetected(), 1u);
-    EXPECT_EQ(rt.rowsRepaired(), 1u);
+    EXPECT_EQ(verifier.stats().detected, 1u);
+    EXPECT_EQ(verifier.stats().repaired, 1u);
     EXPECT_TRUE(shield.verifyRow(7));
 }
 
@@ -253,27 +247,25 @@ TEST_F(IntegrityTest, SamplingScheduleIsDeterministicAcrossThreadCounts)
     std::vector<int64_t> ids, lengths;
     for (int threads : {1, 4}) {
         setGlobalThreadCount(threads);
-        IntegrityRuntime &rt = IntegrityRuntime::global();
-        rt.reset();
         EmbeddingTable table = makeTable(64, 8);
         IntegrityShield shield = IntegrityShield::forTable(table);
         shield.seal();
-        rt.configure(0.25); // verify every 4th batch
-        rt.attach(&table, &shield);
-        rt.setEnabled(true);
+        InlineVerifier verifier(shield, 0.25); // every 4th batch
+        table.setVerifier(&verifier);
         for (int batch = 0; batch < 10; ++batch) {
             makeLookup(64, 4, 4, 100 + static_cast<uint64_t>(batch),
                        ids, lengths);
             (void)table.forward(ids, lengths);
         }
-        EXPECT_EQ(rt.batchesSeen(), 10u) << threads << " threads";
-        EXPECT_EQ(rt.batchesVerified(), 2u) << threads << " threads";
-        rt.reset();
+        EXPECT_EQ(verifier.stats().batches, 10u) << threads << " threads";
+        EXPECT_EQ(verifier.stats().verifiedBatches, 2u)
+            << threads << " threads";
     }
 }
 
-// Satellite: the integrity layer compiled in but *disabled* leaves
-// eval output bitwise identical, at 1 and 4 worker threads.
+// The integrity layer is bitwise invisible: a table with a verifier
+// on clean rows and a table without one give the same output at 1 and
+// 4 worker threads, and a verifier no table holds sees no batch.
 TEST_F(IntegrityTest, DisabledLayerIsBitwiseInvisible)
 {
     std::vector<int64_t> ids, lengths;
@@ -281,25 +273,53 @@ TEST_F(IntegrityTest, DisabledLayerIsBitwiseInvisible)
     std::vector<float> want;
     for (int threads : {1, 4}) {
         setGlobalThreadCount(threads);
-        EmbeddingTable table = makeTable(256, 32);
-        // Shield attached but runtime disabled: the hot path must not
-        // even consult it.
-        IntegrityShield shield = IntegrityShield::forTable(table);
-        shield.seal();
-        IntegrityRuntime::global().attach(&table, &shield);
-        ASSERT_FALSE(IntegrityRuntime::global().enabled());
-        Tensor out = table.forward(ids, lengths);
-        EXPECT_EQ(IntegrityRuntime::global().batchesSeen(), 0u);
-        std::vector<float> got(
-            out.data(), out.data() + out.size());
-        if (want.empty())
-            want = got;
-        else
-            EXPECT_EQ(std::memcmp(want.data(), got.data(),
-                                  want.size() * sizeof(float)),
-                      0)
-                << threads << " threads";
-        IntegrityRuntime::global().reset();
+        for (bool verified : {false, true}) {
+            EmbeddingTable table = makeTable(256, 32);
+            IntegrityShield shield = IntegrityShield::forTable(table);
+            shield.seal();
+            InlineVerifier verifier(shield, 1.0);
+            if (verified)
+                table.setVerifier(&verifier);
+            Tensor out = table.forward(ids, lengths);
+            EXPECT_EQ(verifier.stats().batches, verified ? 1u : 0u);
+            EXPECT_EQ(verifier.stats().detected, 0u);
+            std::vector<float> got(out.data(), out.data() + out.size());
+            if (want.empty())
+                want = got;
+            else
+                EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                                      want.size() * sizeof(float)),
+                          0)
+                    << threads << " threads, verified " << verified;
+        }
+    }
+}
+
+// Each table's verifier counts only its own lookups, also when the
+// model gathers its tables on parallel workers.
+TEST_F(IntegrityTest, PerTableVerifiersUnderParallelForward)
+{
+    setGlobalThreadCount(4);
+    ModelConfig cfg = rmc2Small().functionalScale(512);
+    Rng rng(3);
+    RecModel model(cfg, rng);
+    ModelInput input = model.randomInput(8, rng);
+    std::vector<std::unique_ptr<IntegrityShield>> shields;
+    std::vector<std::unique_ptr<InlineVerifier>> verifiers;
+    for (EmbeddingTable &table : model.tables()) {
+        shields.push_back(std::make_unique<IntegrityShield>(
+            IntegrityShield::forTable(table)));
+        shields.back()->seal();
+        verifiers.push_back(
+            std::make_unique<InlineVerifier>(*shields.back(), 0.5));
+        table.setVerifier(verifiers.back().get());
+    }
+    for (int i = 0; i < 4; ++i)
+        (void)model.forward(input);
+    ASSERT_GE(verifiers.size(), 4u);
+    for (const std::unique_ptr<InlineVerifier> &v : verifiers) {
+        EXPECT_EQ(v->stats().batches, 4u);
+        EXPECT_EQ(v->stats().verifiedBatches, 2u);
     }
 }
 

@@ -354,8 +354,7 @@ TEST_F(KernelCacheTest, DumpTableAndMetricsExport)
     EXPECT_NE(std::string::npos, table.find("gemm m8"));
     EXPECT_NE(std::string::npos, table.find("calls"));
 
-    obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-    reg.reset();
+    obs::MetricsRegistry reg;
     cache.exportMetrics(reg);
     obs::MetricsSnapshot snap = reg.snapshot();
     EXPECT_EQ(2u, snap.counter("kernel.gemm.m8n12k24.calls"));
@@ -363,7 +362,6 @@ TEST_F(KernelCacheTest, DumpTableAndMetricsExport)
     EXPECT_EQ(static_cast<double>(static_cast<int>(detectIsa())),
               snap.gauge("hw.isa.detected"));
     EXPECT_GE(snap.gauge("kernel.gemm.m8n12k24.tuning_us"), 0.0);
-    reg.reset();
 }
 
 TEST_F(KernelCacheTest, WarmCacheForwardNotSlowerThanColdRun)

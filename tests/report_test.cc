@@ -182,9 +182,7 @@ TEST(Report, TailAttributionSectionPinsBlameOrderingUnderOverload)
     // blame table must exist and lead with `queue`. The ordering is
     // pinned — a change to the blame math or the section's sort shows
     // up here before it confuses a reader.
-    obs::RequestLogger &rlog = obs::RequestLogger::global();
-    rlog.configure(obs::RequestLogOptions{});
-    rlog.setEnabled(true);
+    obs::RequestLogger rlog;
     ServerOptions sopts;
     sopts.numWorkers = 2;
     sopts.maxBatch = 16;
@@ -193,11 +191,9 @@ TEST(Report, TailAttributionSectionPinsBlameOrderingUnderOverload)
     TimerOptions topts;
     topts.batch = sopts.maxBatch;
     Server server(broadwell(), rmc1Small(), topts, sopts);
-    server.runOpenLoop(300000.0, 2500);
-    rlog.setEnabled(false);
+    server.runOpenLoop(300000.0, 2500, &rlog);
 
-    static obs::MetricsRegistry reg;
-    reg.reset();
+    obs::MetricsRegistry reg;
     rlog.exportTo(reg);
 
     obs::ReportInputs inputs;

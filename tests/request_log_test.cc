@@ -3,7 +3,8 @@
  * Tests for the per-request causal record plane (obs/request_log.hh):
  * the blame decomposition math, the exemplar reservoirs' edge cases,
  * bitwise determinism of the log across host thread counts and chaos
- * seeds, byte-identity of every other export when logging is off, the
+ * seeds, byte-identity of every other export when logging is off,
+ * runs on concurrent threads recording only into their own sinks, the
  * JSONL round trip with its strict parser, the CLI-knob validation
  * messages, and the `recperf explain` renderer.
  */
@@ -11,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/thread_pool.hh"
@@ -133,7 +136,6 @@ TEST(Reservoirs, SlowestKHandlesEmptyAndOversizedK)
     RequestLogOptions opts;
     opts.slowestK = 10;
     log.configure(opts);
-    log.setEnabled(true);
     EXPECT_TRUE(log.slowestExemplars().empty());
 
     log.record(servedRecord(0, 3e-3));
@@ -145,7 +147,6 @@ TEST(Reservoirs, SlowestKHandlesEmptyAndOversizedK)
     EXPECT_EQ(slow[0].id, 0u);
     EXPECT_EQ(slow[1].id, 2u);
     EXPECT_EQ(slow[2].id, 1u);
-    log.setEnabled(false);
 }
 
 TEST(Reservoirs, DuplicateLatenciesBreakTiesByIdAscending)
@@ -154,7 +155,6 @@ TEST(Reservoirs, DuplicateLatenciesBreakTiesByIdAscending)
     RequestLogOptions opts;
     opts.slowestK = 2;
     log.configure(opts);
-    log.setEnabled(true);
     log.record(servedRecord(5, 2e-3));
     log.record(servedRecord(3, 2e-3));
     log.record(servedRecord(8, 2e-3));
@@ -162,7 +162,6 @@ TEST(Reservoirs, DuplicateLatenciesBreakTiesByIdAscending)
     ASSERT_EQ(slow.size(), 2u);
     EXPECT_EQ(slow[0].id, 3u);
     EXPECT_EQ(slow[1].id, 5u);
-    log.setEnabled(false);
 }
 
 TEST(Reservoirs, WindowExcludesOldRecords)
@@ -172,7 +171,6 @@ TEST(Reservoirs, WindowExcludesOldRecords)
     opts.slowestK = 4;
     opts.windowSeconds = 1.0;
     log.configure(opts);
-    log.setEnabled(true);
     // Slowest record finishes early; the window (anchored at the last
     // finish) must exclude it even though it is the global maximum.
     RequestRecord old = servedRecord(0, 50e-3);
@@ -184,7 +182,6 @@ TEST(Reservoirs, WindowExcludesOldRecords)
     std::vector<RequestRecord> slow = log.slowestExemplars();
     ASSERT_EQ(slow.size(), 1u);
     EXPECT_EQ(slow[0].id, 1u);
-    log.setEnabled(false);
 }
 
 TEST(Reservoirs, DecileExemplarsRespectPerDecileCap)
@@ -193,7 +190,6 @@ TEST(Reservoirs, DecileExemplarsRespectPerDecileCap)
     RequestLogOptions opts;
     opts.perDecile = 1;
     log.configure(opts);
-    log.setEnabled(true);
     for (uint64_t i = 0; i < 40; ++i)
         log.record(servedRecord(i, 1e-4 * static_cast<double>(i + 1)));
     std::vector<RequestRecord> deciles = log.decileExemplars();
@@ -205,7 +201,6 @@ TEST(Reservoirs, DecileExemplarsRespectPerDecileCap)
     log.configure(opts);
     log.record(servedRecord(0, 1e-3));
     EXPECT_TRUE(log.decileExemplars().empty());
-    log.setEnabled(false);
 }
 
 TEST(Reservoirs, CapacityDropsAndCounts)
@@ -214,13 +209,11 @@ TEST(Reservoirs, CapacityDropsAndCounts)
     RequestLogOptions opts;
     opts.capacity = 2;
     log.configure(opts);
-    log.setEnabled(true);
     for (uint64_t i = 0; i < 5; ++i)
         log.record(servedRecord(i, 1e-3));
     EXPECT_EQ(log.size(), 2u);
     EXPECT_EQ(log.recorded(), 5u);
     EXPECT_EQ(log.dropped(), 3u);
-    log.setEnabled(false);
 }
 
 // --- determinism --------------------------------------------------------
@@ -238,30 +231,35 @@ overloadServerOptions(uint64_t seed)
     return sopts;
 }
 
-/** Overloaded serve run with the global logger on; returns the JSONL. */
-std::string
-loggedServeRun(uint64_t seed)
+/** Overloaded serve run into the given sinks (either may be null). */
+ServingStats
+serveRun(uint64_t seed, RequestLogger *rlog,
+         obs::TimeSeriesSampler *sampler, uint64_t items = 1200)
 {
-    RequestLogger &rlog = RequestLogger::global();
-    rlog.configure(RequestLogOptions{});
-    rlog.setEnabled(true);
     TimerOptions topts;
     topts.batch = 16;
     Server server(broadwell(), rmc1Small(), topts,
                   overloadServerOptions(seed));
-    server.runOpenLoop(250000.0, 1200);
-    std::string jsonl = rlog.toJsonl();
-    rlog.setEnabled(false);
-    return jsonl;
+    return server.runOpenLoop(250000.0, items, rlog, sampler);
 }
 
-/** Chaos shard run (replicas + hedges + stragglers) with logging. */
+/** The JSONL of an overloaded serve run. */
 std::string
-loggedShardRun(uint64_t seed)
+loggedServeRun(uint64_t seed)
 {
-    RequestLogger &rlog = RequestLogger::global();
-    rlog.configure(RequestLogOptions{});
-    rlog.setEnabled(true);
+    RequestLogger rlog;
+    serveRun(seed, &rlog, nullptr);
+    return rlog.toJsonl();
+}
+
+/**
+ * Chaos shard run (replicas + hedges + stragglers) into the given
+ * sinks (either may be null).
+ */
+RunResult
+shardRun(uint64_t seed, uint32_t replica_count, RequestLogger *rlog,
+         obs::TimeSeriesSampler *sampler)
+{
     TimerOptions topts;
     topts.batch = 16;
     ShardedInference sim(broadwell(), rmc1Small(), 4, NetworkConfig{},
@@ -278,13 +276,21 @@ loggedShardRun(uint64_t seed)
     ropts.hedge.enabled = true;
     ropts.deadlineSeconds = 50e-3;
     ReplicaOptions replicas;
-    replicas.replicas = 2;
+    replicas.replicas = replica_count;
     replicas.seed = seed;
     ropts.replicas = replicas;
-    sim.run(ropts);
-    std::string jsonl = rlog.toJsonl();
-    rlog.setEnabled(false);
-    return jsonl;
+    ropts.requestLog = rlog;
+    ropts.timeSeries = sampler;
+    return sim.run(ropts);
+}
+
+/** The JSONL of a chaos shard run at two replicas. */
+std::string
+loggedShardRun(uint64_t seed)
+{
+    RequestLogger rlog;
+    shardRun(seed, 2, &rlog, nullptr);
+    return rlog.toJsonl();
 }
 
 TEST(Determinism, ServeLogBitIdenticalAcrossRunsAndThreadCounts)
@@ -344,29 +350,16 @@ observedServeRun(bool log_requests)
     obs::Tracer &tracer = obs::Tracer::global();
     tracer.clear();
     tracer.setEnabled(true);
-    obs::TimeSeriesSampler &sampler = obs::TimeSeriesSampler::global();
-    sampler.configure(obs::TimeSeriesOptions{});
-    sampler.setEnabled(true);
-    RequestLogger &rlog = RequestLogger::global();
-    if (log_requests) {
-        rlog.configure(RequestLogOptions{});
-        rlog.setEnabled(true);
-    }
-
-    TimerOptions topts;
-    topts.batch = 16;
-    Server server(broadwell(), rmc1Small(), topts,
-                  overloadServerOptions(21));
-    ServingStats stats = server.runOpenLoop(250000.0, 800);
+    obs::TimeSeriesSampler sampler;
+    RequestLogger rlog;
+    ServingStats stats =
+        serveRun(21, log_requests ? &rlog : nullptr, &sampler, 800);
 
     RunArtifacts a;
     tracer.setEnabled(false);
-    sampler.setEnabled(false);
-    rlog.setEnabled(false);
     a.traceJson = tracer.toJson();
     a.timeseriesJsonl = sampler.toJsonl();
-    static obs::MetricsRegistry reg;
-    reg.reset();
+    obs::MetricsRegistry reg;
     stats.exportTo(reg);
     a.metricsJson = reg.snapshot().toJson();
     return a;
@@ -381,6 +374,93 @@ TEST(OffPath, EnablingTheLoggerLeavesEveryOtherExportByteIdentical)
     EXPECT_EQ(off.metricsJson, on.metricsJson);
     // And the legacy exports never grow tail.* keys on their own.
     EXPECT_EQ(off.metricsJson.find("tail."), std::string::npos);
+}
+
+// --- independent runs ---------------------------------------------------
+
+/** What one run recorded into the sinks it was handed. */
+struct SinkExports
+{
+    std::string log;
+    std::string series;
+};
+
+/** A run that records into the sinks it is handed. */
+using SinkRun = std::function<void(RequestLogger *,
+                                   obs::TimeSeriesSampler *)>;
+
+/** Run @p run with a fresh logger and sampler; return their exports. */
+SinkExports
+withOwnSinks(const SinkRun &run)
+{
+    RequestLogger rlog;
+    obs::TimeSeriesSampler sampler;
+    run(&rlog, &sampler);
+    return {rlog.toJsonl(), sampler.toJsonl()};
+}
+
+/**
+ * Two runs on two threads, each with its own sinks, record exactly
+ * what each records alone: no run shares or resets another's state.
+ */
+void
+expectConcurrentEqualsSerial(const SinkRun &a, const SinkRun &b)
+{
+    SinkExports serial_a = withOwnSinks(a);
+    SinkExports serial_b = withOwnSinks(b);
+    SinkExports par_a, par_b;
+    std::thread ta([&] { par_a = withOwnSinks(a); });
+    std::thread tb([&] { par_b = withOwnSinks(b); });
+    ta.join();
+    tb.join();
+    EXPECT_FALSE(serial_a.log.empty());
+    EXPECT_FALSE(serial_a.series.empty());
+    EXPECT_NE(serial_a.log, serial_b.log);
+    EXPECT_EQ(par_a.log, serial_a.log);
+    EXPECT_EQ(par_a.series, serial_a.series);
+    EXPECT_EQ(par_b.log, serial_b.log);
+    EXPECT_EQ(par_b.series, serial_b.series);
+}
+
+TEST(RunSinks, ConcurrentShardRunsMatchSerialRuns)
+{
+    expectConcurrentEqualsSerial(
+        [](RequestLogger *l, obs::TimeSeriesSampler *s) {
+            shardRun(3, 2, l, s);
+        },
+        [](RequestLogger *l, obs::TimeSeriesSampler *s) {
+            shardRun(6, 3, l, s);
+        });
+}
+
+TEST(RunSinks, ConcurrentServeRunsMatchSerialRuns)
+{
+    expectConcurrentEqualsSerial(
+        [](RequestLogger *l, obs::TimeSeriesSampler *s) {
+            serveRun(11, l, s);
+        },
+        [](RequestLogger *l, obs::TimeSeriesSampler *s) {
+            serveRun(12, l, s);
+        });
+}
+
+// A run handed no sinks records nothing and computes the same result
+// as one handed both.
+TEST(RunSinks, NullSinksLeaveTheRunUnchanged)
+{
+    auto metrics = [](const auto &result) {
+        obs::MetricsRegistry reg;
+        result.exportTo(reg);
+        return reg.snapshot().toJson();
+    };
+    RequestLogger rlog;
+    obs::TimeSeriesSampler sampler;
+    EXPECT_EQ(metrics(serveRun(5, nullptr, nullptr)),
+              metrics(serveRun(5, &rlog, &sampler)));
+    EXPECT_EQ(metrics(shardRun(5, 2, nullptr, nullptr)),
+              metrics(shardRun(5, 2, &rlog, &sampler)));
+    EXPECT_GT(rlog.size(), 0u);
+    EXPECT_GT(sampler.size(), 0u);
 }
 
 // --- JSONL round trip and strict parsing --------------------------------
@@ -479,10 +559,11 @@ TEST(Explain, RendersAttributionExemplarsAndDecilesFromLogAlone)
 
 TEST(Explain, MetricsJoinCrossChecksBlameGauges)
 {
-    std::string jsonl = loggedShardRun(4);
-    static obs::MetricsRegistry reg;
-    reg.reset();
-    RequestLogger::global().exportTo(reg);
+    RequestLogger rlog;
+    shardRun(4, 2, &rlog, nullptr);
+    std::string jsonl = rlog.toJsonl();
+    obs::MetricsRegistry reg;
+    rlog.exportTo(reg);
 
     obs::ExplainInputs inputs;
     inputs.requestLogJsonl = jsonl;

@@ -123,6 +123,8 @@ struct FlagSpec
     const char *help;
     const char *parent = nullptr; ///< no effect unless this is active
     const char *env = nullptr;    ///< consulted when the flag is unset
+    /** As a numeric parent: active when its value exceeds this. */
+    double activeAbove = 0;
 };
 
 /** Every recperf flag; a child given without its active parent is an
@@ -196,25 +198,26 @@ constexpr FlagSpec kFlags[] = {
     {"hedge-ms", kNum, "0", kShard, "", "hedge delay (0 = auto p95)",
      "hedge"},
     {"replicas", kInt, "1", kShard, "[1,inf)",
-     "replicas per shard (>= 2 enables failover)"},
+     "replicas per shard (>= 2 enables failover)", nullptr, nullptr, 1},
     {"router", kChoice, "primary-first", kShard,
-     "primary-first|least-loaded|p2c", "replica router"},
+     "primary-first|least-loaded|p2c", "replica router", "replicas"},
     {"breaker-errors", kInt, "3", kShard, "",
-     "consecutive errors tripping a replica's breaker"},
+     "consecutive errors tripping a replica's breaker", "replicas"},
     {"breaker-open-ms", kNum, "0.5", kShard, "",
-     "breaker cooldown before half-open"},
+     "breaker cooldown before half-open", "replicas"},
     {"breaker-probe", kNum, "0.7", kShard, "",
-     "half-open probe admission probability"},
+     "half-open probe admission probability", "replicas"},
     {"breaker-close-probes", kInt, "2", kShard, "",
-     "probe successes that re-close a breaker"},
+     "probe successes that re-close a breaker", "replicas"},
     {"warmup-ms", kNum, "2", kShard, "",
-     "post-recovery warm-up window (cold caches)"},
+     "post-recovery warm-up window (cold caches)", "replicas"},
     {"warmup-factor", kNum, "0", kShard, "",
-     "post-recovery slowdown (0 = measured cold/steady)"},
+     "post-recovery slowdown (0 = measured cold/steady)", "replicas"},
     {"chaos-events", kInt, "0", kShard, "[0,inf)",
-     "scripted chaos windows over the run"},
-    {"chaos-ms", kNum, "5", kShard, "", "mean chaos window duration"},
-    {"corrupt-rate", kNum, "0", kShard, "",
+     "scripted chaos windows over the run", "replicas"},
+    {"chaos-ms", kNum, "5", kShard, "", "mean chaos window duration",
+     "replicas"},
+    {"corrupt-rate", kNum, "0", kShard, "[0,1e6]",
      "memory-corruption events per second (0 = off)"},
     {"corrupt-zipf", kNum, "1.05", kShard, "",
      "corruption row-targeting skew (0 = uniform)", "corrupt-rate"},
@@ -224,7 +227,7 @@ constexpr FlagSpec kFlags[] = {
      "fraction of corruptions sticking a whole row at 1s", "corrupt-rate"},
     {"corrupt-fc", kNum, "0", kShard, "",
      "fraction of corruptions hitting FC weights", "corrupt-rate"},
-    {"scrub-interval-ms", kNum, "0", kShard, "",
+    {"scrub-interval-ms", kNum, "0", kShard, "[0.001,1e9]",
      "background checksum scrub full-sweep period (0 = off)"},
     {"integrity-sample", kNum, "0", kShard | kEval, "(0,1]",
      "inline-verified fraction of lookup batches (0 = off)"},
@@ -361,8 +364,21 @@ class Cli
     unsigned command_;
 };
 
-void obsBegin(const Cli &cli);
-void obsEnd(const Cli &cli);
+/**
+ * What one run owns and hands to the code it drives: the backend spec
+ * main parsed, the metrics registry, and the sinks obsBegin creates
+ * for the --*-out flags. A sink that exists is on.
+ */
+struct Run
+{
+    BackendConfig backend;
+    obs::MetricsRegistry metrics;
+    std::unique_ptr<obs::TimeSeriesSampler> timeSeries;
+    std::unique_ptr<obs::RequestLogger> requestLog;
+};
+
+void obsBegin(const Cli &cli, Run &run);
+void obsEnd(const Cli &cli, Run &run);
 
 /** The zoo model or alias @p name, if any (main checks --model before
  *  dispatch, so handlers can take value()). */
@@ -395,9 +411,9 @@ machineByName(const std::string &name)
 }
 
 int
-cmdTime(const Cli &cli)
+cmdTime(const Cli &cli, Run &run)
 {
-    obsBegin(cli);
+    obsBegin(cli, run);
     ModelConfig cfg = findModel(cli.str("model")).value();
     MachineSpec machine = machineByName(cli.str("machine"));
     TimerOptions opts;
@@ -405,7 +421,7 @@ cmdTime(const Cli &cli)
     opts.zipfAlpha = cli.num("zipf");
     opts.repeatProb = cli.num("repeat");
     opts.seed = static_cast<uint64_t>(cli.i64("seed"));
-    opts.backend = activeBackendConfig();
+    opts.backend = run.backend;
 
     ModelTimer timer(machine, cfg, opts);
     ModelTiming t = timer.steadyState(
@@ -442,12 +458,12 @@ cmdTime(const Cli &cli)
         std::printf("    %-11s %8.3f ms (%5.1f%%)\n", opKindName(kind),
                     secs * 1e3, 100.0 * secs / t.totalSeconds());
     }
-    obsEnd(cli);
+    obsEnd(cli, run);
     return 0;
 }
 
 int
-cmdColocate(const Cli &cli)
+cmdColocate(const Cli &cli, Run &run)
 {
     ModelConfig cfg = findModel(cli.str("model")).value();
     MachineSpec machine = machineByName(cli.str("machine"));
@@ -455,7 +471,7 @@ cmdColocate(const Cli &cli)
     TimerOptions opts;
     opts.batch = cli.i64("batch");
     opts.seed = static_cast<uint64_t>(cli.i64("seed"));
-    opts.backend = activeBackendConfig();
+    opts.backend = run.backend;
 
     std::printf("co-locating %s on %s (batch %lld):\n", cfg.name.c_str(),
                 machine.name.c_str(),
@@ -669,14 +685,14 @@ validateServingArgs(const Cli &cli)
 /**
  * Observability plumbing shared by time/serve/shard/eval: --trace-out
  * enables the tracer for the run, --counters / --timeseries-out turn
- * on the hardware-model telemetry (and its virtual-time sampler), and
- * --metrics-out writes the drained registry as JSON (plus a summary
- * table on stdout).
+ * on the hardware-model telemetry, --timeseries-out and
+ * --request-log-out / --exemplars-out give the run its sampler and
+ * request logger, and --metrics-out writes the run's registry as JSON
+ * (plus a summary table on stdout).
  */
 void
-obsBegin(const Cli &cli)
+obsBegin(const Cli &cli, Run &run)
 {
-    obs::MetricsRegistry::global().reset();
     if (!cli.str("trace-out").empty()) {
         obs::Tracer::global().clear();
         obs::Tracer::global().setEnabled(true);
@@ -689,8 +705,7 @@ obsBegin(const Cli &cli)
     if (want_timeseries) {
         obs::TimeSeriesOptions topts;
         topts.intervalSeconds = cli.num("timeseries-interval-ms") / 1e3;
-        obs::TimeSeriesSampler::global().configure(topts);
-        obs::TimeSeriesSampler::global().setEnabled(true);
+        run.timeSeries = std::make_unique<obs::TimeSeriesSampler>(topts);
     }
     // The request log records the serving lanes only.
     if ((cli.command() & kServing) &&
@@ -699,13 +714,12 @@ obsBegin(const Cli &cli)
         obs::RequestLogOptions ropts;
         ropts.slowestK = static_cast<int>(cli.i64("request-log-k"));
         ropts.windowSeconds = cli.num("request-log-window-ms") / 1e3;
-        obs::RequestLogger::global().configure(ropts);
-        obs::RequestLogger::global().setEnabled(true);
+        run.requestLog = std::make_unique<obs::RequestLogger>(ropts);
     }
 }
 
 void
-obsEnd(const Cli &cli)
+obsEnd(const Cli &cli, Run &run)
 {
     // Export telemetry into the registry before the snapshot so the
     // metrics file carries the final counter values (check_trace.py
@@ -714,38 +728,34 @@ obsEnd(const Cli &cli)
     // tracer is still enabled), then the matching metrics export.
     KernelCache &kcache = KernelCache::global();
     kcache.emitTraceCounters(obs::Tracer::global());
-    kcache.exportMetrics(obs::MetricsRegistry::global());
+    kcache.exportMetrics(run.metrics);
     obs::HwTelemetry &telem = obs::HwTelemetry::global();
     if (telem.enabled())
-        telem.exportTo(obs::MetricsRegistry::global());
-    obs::TimeSeriesSampler &sampler = obs::TimeSeriesSampler::global();
-    if (sampler.enabled()) {
-        sampler.exportTo(obs::MetricsRegistry::global());
+        telem.exportTo(run.metrics);
+    if (const obs::TimeSeriesSampler *sampler = run.timeSeries.get()) {
+        sampler->exportTo(run.metrics);
         const std::string &ts_path = cli.str("timeseries-out");
-        if (!ts_path.empty() && sampler.writeFile(ts_path)) {
+        if (sampler->writeFile(ts_path)) {
             std::printf("  timeseries:    wrote %s (%zu samples)\n",
-                        ts_path.c_str(), sampler.size());
+                        ts_path.c_str(), sampler->size());
         }
     }
-    obs::RequestLogger &rlog = obs::RequestLogger::global();
-    if (rlog.enabled()) {
+    if (const obs::RequestLogger *rlog = run.requestLog.get()) {
         // Export before the metrics snapshot so the tail.blame.*
         // gauges land in --metrics-out; a run without logging never
         // calls exportTo, keeping its metric set byte-identical.
-        rlog.exportTo(obs::MetricsRegistry::global());
+        rlog->exportTo(run.metrics);
         const std::string &rl_path = cli.str("request-log-out");
-        if (!rl_path.empty() && rlog.writeFile(rl_path)) {
+        if (!rl_path.empty() && rlog->writeFile(rl_path)) {
             std::printf("  request log:   wrote %s (%zu records)\n",
-                        rl_path.c_str(), rlog.size());
+                        rl_path.c_str(), rlog->size());
         }
         const std::string &ex_path = cli.str("exemplars-out");
-        if (!ex_path.empty() && rlog.writeExemplars(ex_path)) {
+        if (!ex_path.empty() && rlog->writeExemplars(ex_path)) {
             std::printf("  exemplars:     wrote %s\n", ex_path.c_str());
         }
     }
     telem.setEnabled(false);
-    sampler.setEnabled(false);
-    rlog.setEnabled(false);
 
     obs::Tracer &tracer = obs::Tracer::global();
     const std::string &trace_path = cli.str("trace-out");
@@ -759,7 +769,7 @@ obsEnd(const Cli &cli)
     const std::string &metrics_path = cli.str("metrics-out");
     if (metrics_path.empty())
         return;
-    obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
+    obs::MetricsSnapshot snap = run.metrics.snapshot();
     if (std::ofstream(metrics_path) << snap.toJson())
         std::printf("  metrics:       wrote %s\n", metrics_path.c_str());
     else
@@ -769,9 +779,9 @@ obsEnd(const Cli &cli)
 }
 
 int
-cmdServe(const Cli &cli)
+cmdServe(const Cli &cli, Run &run)
 {
-    obsBegin(cli);
+    obsBegin(cli, run);
     ModelConfig cfg = findModel(cli.str("model")).value();
     MachineSpec machine = machineByName(cli.str("machine"));
     ServerOptions sopts;
@@ -788,11 +798,11 @@ cmdServe(const Cli &cli)
 
     TimerOptions topts;
     topts.seed = static_cast<uint64_t>(cli.i64("seed"));
-    topts.backend = activeBackendConfig();
+    topts.backend = run.backend;
     Server server(machine, cfg, topts, sopts);
     ServingStats stats = server.runOpenLoop(
-        cli.num("rate"),
-        static_cast<uint64_t>(cli.i64("items")));
+        cli.num("rate"), static_cast<uint64_t>(cli.i64("items")),
+        run.requestLog.get(), run.timeSeries.get());
 
     std::printf("serving %s on %s: %u workers, max batch %lld, SLA "
                 "%.1f ms\n", cfg.name.c_str(), machine.name.c_str(),
@@ -814,12 +824,10 @@ cmdServe(const Cli &cli)
                     sopts.brownout.enabled ? ", brownout ladder armed"
                                            : "");
     }
-    stats.exportTo(obs::MetricsRegistry::global());
-    std::fputs(ServingStats::summarize(
-                   obs::MetricsRegistry::global().snapshot())
-                   .c_str(),
+    stats.exportTo(run.metrics);
+    std::fputs(ServingStats::summarize(run.metrics.snapshot()).c_str(),
                stdout);
-    obsEnd(cli);
+    obsEnd(cli, run);
     return 0;
 }
 
@@ -892,7 +900,8 @@ printSdcSummary(const RunResult &r)
 
 /** Writes the fault log (--fault-log-out) and metrics of a shard run. */
 int
-finishShard(const Cli &cli, const RunResult &r, const FaultLog &log)
+finishShard(const Cli &cli, Run &run, const RunResult &r,
+            const FaultLog &log)
 {
     const std::string &path = cli.str("fault-log-out");
     if (!path.empty()) {
@@ -900,21 +909,21 @@ finishShard(const Cli &cli, const RunResult &r, const FaultLog &log)
         std::printf("  fault log:     wrote %s (%zu events)\n",
                     path.c_str(), log.size());
     }
-    r.exportTo(obs::MetricsRegistry::global());
-    obsEnd(cli);
+    r.exportTo(run.metrics);
+    obsEnd(cli, run);
     return 0;
 }
 
 int
-cmdShard(const Cli &cli)
+cmdShard(const Cli &cli, Run &run)
 {
-    obsBegin(cli);
+    obsBegin(cli, run);
     ModelConfig cfg = findModel(cli.str("model")).value();
     MachineSpec machine = machineByName(cli.str("machine"));
     TimerOptions topts;
     topts.batch = cli.i64("batch");
     topts.seed = static_cast<uint64_t>(cli.i64("seed"));
-    topts.backend = activeBackendConfig();
+    topts.backend = run.backend;
     auto nodes = static_cast<uint32_t>(cli.i64("nodes"));
     int iters = static_cast<int>(cli.i64("iters"));
 
@@ -935,9 +944,6 @@ cmdShard(const Cli &cli)
     RunOptions ropts;
     ropts.warmupIters = 20;
     ropts.measureIters = iters;
-    // Redundant with topts.backend for the CLI, but exercises the
-    // run-level override every embedding client can use.
-    ropts.backend = activeBackendConfig();
     ropts.faults = faults;
     ropts.retry = retry;
     ropts.hedge = hedge;
@@ -950,6 +956,8 @@ cmdShard(const Cli &cli)
     FaultLog fault_log;
     if (!cli.str("fault-log-out").empty())
         ropts.faultLog = &fault_log;
+    ropts.requestLog = run.requestLog.get();
+    ropts.timeSeries = run.timeSeries.get();
     if (faults.corruption.enabled() || ropts.sdc.anyDefense()) {
         std::printf("  sdc:           %.1f corruptions/s, scrub %.1f ms, "
                     "inline %.2f, guards %s, canary %.1f ms\n",
@@ -983,7 +991,7 @@ cmdShard(const Cli &cli)
     if (!failover) {
         printResilientResult(r);
         printSdcSummary(r);
-        return finishShard(cli, r, fault_log);
+        return finishShard(cli, run, r, fault_log);
     }
 
     std::printf("  failover layer: %u replicas/shard, router %s, "
@@ -1014,11 +1022,11 @@ cmdShard(const Cli &cli)
     std::printf("  warm-up cost:  %10.3f ms re-filling recovered "
                 "replicas' caches\n", r.warmupPenaltySeconds * 1e3);
     printSdcSummary(r);
-    return finishShard(cli, r, fault_log);
+    return finishShard(cli, run, r, fault_log);
 }
 
 int
-cmdEval(const Cli &cli)
+cmdEval(const Cli &cli, Run &run)
 {
     // Unlike `time` (the calibrated timing model), this executes the
     // real tensor graph on the thread pool and reports wall-clock
@@ -1040,16 +1048,17 @@ cmdEval(const Cli &cli)
     double sample = cli.num("integrity-sample");
     int64_t flips = cli.i64("corrupt-events");
     std::vector<std::unique_ptr<IntegrityShield>> shields;
+    std::vector<std::unique_ptr<InlineVerifier>> verifiers;
     if (sample > 0.0) {
-        IntegrityRuntime &integrity = IntegrityRuntime::global();
-        integrity.configure(sample, /*repair_on_detect=*/true);
         std::vector<EmbeddingTable> &tables = model.tables();
         for (size_t t = 0; t < tables.size(); ++t) {
             shields.push_back(std::make_unique<IntegrityShield>(
                 IntegrityShield::forTable(tables[t],
                                           strprintf("table%zu", t))));
             shields.back()->seal();
-            integrity.attach(&tables[t], shields.back().get());
+            verifiers.push_back(
+                std::make_unique<InlineVerifier>(*shields.back(), sample));
+            tables[t].setVerifier(verifiers.back().get());
         }
         if (flips > 0) {
             Rng corrupt_rng(
@@ -1065,14 +1074,13 @@ cmdEval(const Cli &cli)
                 shields[t]->flipBit(row, bit);
             }
         }
-        integrity.setEnabled(true);
     }
 
     for (int i = 0; i < 2; ++i)
         (void)model.forward(input); // warm-up
-    obsBegin(cli);
+    obsBegin(cli, run);
     obs::LatencyHistogram batch_hist =
-        obs::MetricsRegistry::global().histogram("eval.batch_seconds");
+        run.metrics.histogram("eval.batch_seconds");
     auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < iters; ++i) {
         auto it0 = std::chrono::steady_clock::now();
@@ -1085,8 +1093,7 @@ cmdEval(const Cli &cli)
                       std::chrono::steady_clock::now() - start)
                       .count() /
         static_cast<double>(iters);
-    obs::MetricsRegistry::global()
-        .gauge("eval.throughput_items_per_s")
+    run.metrics.gauge("eval.throughput_items_per_s")
         .set(static_cast<double>(batch) / secs);
 
     std::printf("eval %s (rows capped at %lld), batch %lld, "
@@ -1117,28 +1124,26 @@ cmdEval(const Cli &cli)
                     : kernelIsaName(
                           KernelCache::global().policy().pinned));
     if (sample > 0.0) {
-        IntegrityRuntime &integrity = IntegrityRuntime::global();
-        integrity.exportTo(obs::MetricsRegistry::global());
+        InlineVerifyStats integrity;
+        for (const std::unique_ptr<InlineVerifier> &v : verifiers)
+            integrity += v->stats();
+        integrity.exportTo(run.metrics);
         std::printf("  integrity:  %llu/%llu batches verified, %llu "
                     "corruptions detected, %llu rows repaired\n",
                     static_cast<unsigned long long>(
-                        integrity.batchesVerified()),
-                    static_cast<unsigned long long>(
-                        integrity.batchesSeen()),
-                    static_cast<unsigned long long>(
-                        integrity.corruptionsDetected()),
-                    static_cast<unsigned long long>(
-                        integrity.rowsRepaired()));
-        integrity.reset();
+                        integrity.verifiedBatches),
+                    static_cast<unsigned long long>(integrity.batches),
+                    static_cast<unsigned long long>(integrity.detected),
+                    static_cast<unsigned long long>(integrity.repaired));
     }
     if (cli.flag("dump-kernel-cache"))
         std::fputs(KernelCache::global().dumpTable().c_str(), stdout);
-    obsEnd(cli);
+    obsEnd(cli, run);
     return 0;
 }
 
 int
-cmdTrace(const Cli &cli)
+cmdTrace(const Cli &cli, Run &)
 {
     TraceProfile profile{"cli", cli.num("zipf"),
                          cli.num("repeat"), 8192};
@@ -1173,7 +1178,7 @@ readFile(const std::string &path, std::string *out)
 }
 
 int
-cmdReport(const Cli &cli)
+cmdReport(const Cli &cli, Run &)
 {
     obs::ReportInputs inputs;
     std::string err;
@@ -1206,7 +1211,7 @@ cmdReport(const Cli &cli)
 }
 
 int
-cmdExplain(const Cli &cli)
+cmdExplain(const Cli &cli, Run &)
 {
     obs::ExplainInputs inputs;
     std::string err;
@@ -1232,7 +1237,7 @@ cmdExplain(const Cli &cli)
 }
 
 int
-cmdZoo(const Cli &)
+cmdZoo(const Cli &, Run &)
 {
     std::printf("model zoo:\n");
     for (const ModelConfig &cfg : allZooModels()) {
@@ -1308,7 +1313,7 @@ active(const Cli &cli, const FlagSpec &f)
     if (f.kind == kText)
         return !cli.str(f.name).empty();
     if (f.kind != kChoice)
-        return cli.num(f.name) > 0.0;
+        return cli.num(f.name) > f.activeAbove;
     std::string_view choices = f.domain;
     return cli.str(f.name) != choices.substr(0, choices.find('|'));
 }
@@ -1343,7 +1348,8 @@ checkFlags(const ArgParser &args, unsigned command)
             return err;
         if (!given || !f.parent || active(cli, spec(f.parent)))
             continue;
-        if (spec(f.parent).kind == kChoice)
+        const FlagSpec &parent = spec(f.parent);
+        if (parent.kind == kChoice || parent.activeAbove > 0)
             return strprintf("--%s has no effect with --%s=%s", f.name,
                              f.parent, cli.str(f.parent).c_str());
         return strprintf("--%s has no effect without --%s", f.name,
@@ -1377,7 +1383,10 @@ helpText(unsigned command)
         }
         if (f.kind != kChoice && *f.domain)
             line += strprintf(" (in %s)", f.domain);
-        if (f.parent)
+        if (f.parent && spec(f.parent).activeAbove > 0)
+            line += strprintf(" (needs --%s > %g)", f.parent,
+                              spec(f.parent).activeAbove);
+        else if (f.parent)
             line += strprintf(" (needs --%s)", f.parent);
         if (!command)
             line += " [" + commandNames(f.scope) + "]";
@@ -1388,11 +1397,12 @@ helpText(unsigned command)
 
 /**
  * Resolves --backend and --isa (flag > env > default for each) and the
- * nmp knobs into one validated backend spec and installs it before any
- * kernel runs; returns the message when the spec is unusable.
+ * nmp knobs into one validated backend spec in @p out, and pins its
+ * ISA in the kernel cache before any kernel runs; returns the message
+ * when the spec is unusable.
  */
 std::string
-configureBackend(const Cli &cli)
+configureBackend(const Cli &cli, BackendConfig *out)
 {
     BackendConfig backend;
     std::string err =
@@ -1414,7 +1424,8 @@ configureBackend(const Cli &cli)
         if (!(err = nmp.validate()).empty())
             return "--backend=nmp: " + err;
     }
-    setActiveBackend(backend);
+    KernelCache::global().setPolicy(backend.isa);
+    *out = backend;
     return "";
 }
 
@@ -1455,6 +1466,7 @@ main(int argc, char **argv)
     }
 
     Cli cli(args, bit);
+    Run run;
     if (!args.positional().empty())
         err = "unexpected argument '" + args.positional().front() + "'";
     if (err.empty())
@@ -1467,7 +1479,7 @@ main(int argc, char **argv)
     if (err.empty() && bit == kEval && cli.i64("threads") > 0)
         setGlobalThreadCount(static_cast<int>(cli.i64("threads")));
     if (err.empty() && (bit & kModel))
-        err = configureBackend(cli);
+        err = configureBackend(cli, &run.backend);
     if (err.empty() && (bit & kServing))
         err = validateServingArgs(cli);
     if (!err.empty()) {
@@ -1476,14 +1488,15 @@ main(int argc, char **argv)
     }
 
     // Indexed like kCommands.
-    int (*const handlers[])(const Cli &) = {
+    int (*const handlers[])(const Cli &, Run &) = {
         cmdTime, cmdColocate, cmdServe,   cmdShard, cmdTrace,
         cmdEval, cmdReport,   cmdExplain, cmdZoo};
     try {
-        return handlers[std::countr_zero(bit)](cli);
+        return handlers[std::countr_zero(bit)](cli, run);
     } catch (const FatalError &e) {
+        // Input found unusable only once the run has calibrated.
         std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
+        return 2;
     } catch (const std::bad_alloc &) {
         std::fprintf(stderr, "error: out of memory\n");
         return 1;
