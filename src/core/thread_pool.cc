@@ -44,12 +44,14 @@ defaultThreadCount()
 } // namespace
 
 /**
- * One parallelFor invocation. Shared-owned: each worker that wakes for
- * it holds a reference, so a straggler arriving after the caller has
- * already retired the region finds only an exhausted chunk counter,
- * never freed memory. The fn pointer targets the caller's stack but is
- * only dereferenced for successfully claimed chunks, all of which
- * complete before the caller returns.
+ * One parallelFor invocation. Pool-owned and reused: a worker that
+ * wakes for it counts itself in `holders` (under the pool mutex, while
+ * the region is published) and leaves with a release decrement, so a
+ * straggler arriving after the caller has retired the region finds only
+ * an exhausted chunk counter, and the region is handed to a new caller
+ * only once it is idle and no worker still holds it. The fn pointer
+ * targets the caller's stack but is only dereferenced for successfully
+ * claimed chunks, all of which complete before the caller returns.
  */
 struct ThreadPool::Region
 {
@@ -63,6 +65,8 @@ struct ThreadPool::Region
     std::atomic<bool> failed{false};
     std::exception_ptr error; // first error; guarded by error_mu
     std::mutex error_mu;
+    bool busy = false;           // a caller owns it; guarded by pool mu_
+    std::atomic<int> holders{0}; // workers inside runChunks
 };
 
 ThreadPool::ThreadPool(int threads) : nthreads_(clampThreads(threads))
@@ -91,7 +95,7 @@ ThreadPool::workerLoop()
     t_in_parallel_region = true;
     uint64_t seen_generation = 0;
     for (;;) {
-        std::shared_ptr<Region> region;
+        Region *region;
         {
             std::unique_lock<std::mutex> lock(mu_);
             work_cv_.wait(lock, [&] {
@@ -101,9 +105,13 @@ ThreadPool::workerLoop()
                 return;
             seen_generation = generation_;
             region = region_;
+            if (region)
+                region->holders.fetch_add(1, std::memory_order_relaxed);
         }
-        if (region)
+        if (region) {
             runChunks(*region);
+            region->holders.fetch_sub(1, std::memory_order_release);
+        }
     }
 }
 
@@ -169,15 +177,29 @@ ThreadPool::parallelFor(int64_t begin, int64_t end, int64_t grain,
     int64_t eff_grain =
         std::max(grain, (total + max_chunks - 1) / max_chunks);
 
-    auto region = std::make_shared<Region>();
-    region->fn = &fn;
-    region->begin = begin;
-    region->end = end;
-    region->grain = eff_grain;
-    region->num_chunks = (total + eff_grain - 1) / eff_grain;
-
+    Region *region = nullptr;
     {
         std::lock_guard<std::mutex> lock(mu_);
+        for (const std::unique_ptr<Region> &r : regions_) {
+            if (!r->busy &&
+                r->holders.load(std::memory_order_acquire) == 0) {
+                region = r.get();
+                break;
+            }
+        }
+        if (!region) {
+            regions_.push_back(std::make_unique<Region>());
+            region = regions_.back().get();
+        }
+        region->busy = true;
+        region->fn = &fn;
+        region->begin = begin;
+        region->end = end;
+        region->grain = eff_grain;
+        region->num_chunks = (total + eff_grain - 1) / eff_grain;
+        region->next_chunk.store(0, std::memory_order_relaxed);
+        region->done_chunks.store(0, std::memory_order_relaxed);
+        region->failed.store(false, std::memory_order_relaxed);
         region_ = region;
         ++generation_;
     }
@@ -197,14 +219,18 @@ ThreadPool::parallelFor(int64_t begin, int64_t end, int64_t grain,
         std::this_thread::yield();
     }
 
+    std::exception_ptr error;
     {
         std::lock_guard<std::mutex> lock(mu_);
         if (region_ == region)
-            region_.reset();
+            region_ = nullptr;
+        error = std::move(region->error);
+        region->error = nullptr;
+        region->busy = false;
     }
 
-    if (region->error)
-        std::rethrow_exception(region->error);
+    if (error)
+        std::rethrow_exception(error);
 }
 
 namespace {

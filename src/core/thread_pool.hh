@@ -14,7 +14,9 @@
  *     issuing thread, so ops can parallelize unconditionally and
  *     compose (e.g. BatchMatMul over batch calling gemmBt).
  *  3. Low overhead — one atomic fetch-add per chunk, caller
- *     participates as a worker, and tiny ranges never touch the pool.
+ *     participates as a worker, tiny ranges never touch the pool, and
+ *     a region's bookkeeping is reused, so a steady-state parallelFor
+ *     never touches the heap.
  */
 
 #ifndef RECPERF_CORE_THREAD_POOL_HH
@@ -81,7 +83,9 @@ class ThreadPool
     std::mutex mu_;
     std::condition_variable work_cv_;
     uint64_t generation_ = 0;
-    std::shared_ptr<Region> region_;
+    Region *region_ = nullptr; ///< the region workers join next
+    /** Every region ever made, reused once idle (guarded by mu_). */
+    std::vector<std::unique_ptr<Region>> regions_;
     bool shutdown_ = false;
     std::vector<std::thread> workers_;
 };

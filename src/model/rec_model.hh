@@ -88,6 +88,8 @@ class RecModel
     std::vector<FullyConnected> bottom_;
     std::vector<FullyConnected> top_;
     std::vector<EmbeddingTable> tables_;
+    int64_t actWidth_ = 0; ///< widest activation row forward() stores
+    int64_t catWidth_ = 0; ///< concat row: bottom output + every table
 };
 
 } // namespace recperf

@@ -127,9 +127,16 @@ class Parser
             ++pos_;
         if (pos_ == start)
             return fail("expected number");
+        // The whole token must be one number, and a finite one: an
+        // overflowing exponent (1e999999) is malformed input, not inf.
+        const std::string token = text_.substr(start, pos_ - start);
+        char *end = nullptr;
         out.kind = JsonValue::Kind::Number;
-        out.number = std::strtod(text_.substr(start, pos_ - start).c_str(),
-                                 nullptr);
+        out.number = std::strtod(token.c_str(), &end);
+        if (end != token.c_str() + token.size())
+            return fail("malformed number '" + token + "'");
+        if (!std::isfinite(out.number))
+            return fail("number out of range '" + token + "'");
         return true;
     }
 

@@ -49,22 +49,32 @@ batchMatMulBt(const Tensor &a, const Tensor &b)
 Tensor
 dotInteraction(const Tensor &features)
 {
-    obs::Tracer::Scope trace(obs::Tracer::global(), "op",
-                             "dotInteraction");
     RP_ASSERT(features.rank() == 3, "dotInteraction input must be rank 3");
     int64_t batch = features.dim(0);
     int64_t f = features.dim(1);
-    int64_t d = features.dim(2);
     int64_t pairs = f * (f - 1) / 2;
-
     Tensor out({batch, pairs});
-    // One chunk should cover at least ~16K multiply-adds.
-    int64_t grain = std::max<int64_t>(
-        1, 16384 / std::max<int64_t>(1, pairs * d));
-    parallelFor(0, batch, grain, [&](int64_t lo, int64_t hi) {
+    dotInteractionInto(features.data(), batch, f, features.dim(2),
+                       out.data(), pairs);
+    return out;
+}
+
+namespace {
+
+/** One dot interaction, shared with the pool by pointer. */
+struct DotTask
+{
+    const float *features;
+    int64_t f, d;
+    float *out;
+    int64_t ldo;
+
+    void
+    run(int64_t lo, int64_t hi) const
+    {
         for (int64_t b = lo; b < hi; ++b) {
-            const float *z = features.data() + b * f * d;
-            float *dst = out.data() + b * pairs;
+            const float *z = features + b * f * d;
+            float *dst = out + b * ldo;
             int64_t idx = 0;
             for (int64_t i = 1; i < f; ++i) {
                 for (int64_t j = 0; j < i; ++j) {
@@ -77,8 +87,24 @@ dotInteraction(const Tensor &features)
                 }
             }
         }
-    });
-    return out;
+    }
+};
+
+} // namespace
+
+void
+dotInteractionInto(const float *features, int64_t batch, int64_t f,
+                   int64_t d, float *out, int64_t ldo)
+{
+    obs::Tracer::Scope trace(obs::Tracer::global(), "op",
+                             "dotInteraction");
+    const DotTask task{features, f, d, out, ldo};
+    int64_t pairs = f * (f - 1) / 2;
+    // One chunk should cover at least ~16K multiply-adds.
+    int64_t grain = std::max<int64_t>(
+        1, 16384 / std::max<int64_t>(1, pairs * d));
+    parallelFor(0, batch, grain,
+                [&task](int64_t lo, int64_t hi) { task.run(lo, hi); });
 }
 
 OpCost

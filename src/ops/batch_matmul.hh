@@ -32,6 +32,14 @@ Tensor batchMatMulBt(const Tensor &a, const Tensor &b);
  */
 Tensor dotInteraction(const Tensor &features);
 
+/**
+ * dotInteraction on raw storage: @p features is [batch, f, d]
+ * contiguous; sample b's f*(f-1)/2 pairs go to out[b*ldo, ...). Same
+ * per-pair arithmetic as dotInteraction.
+ */
+void dotInteractionInto(const float *features, int64_t batch, int64_t f,
+                        int64_t d, float *out, int64_t ldo);
+
 /** Work accounting for batchMatMulBt. */
 OpCost batchMatMulCost(int64_t batch, int64_t m, int64_t n, int64_t k);
 

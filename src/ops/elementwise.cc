@@ -1,5 +1,6 @@
 #include "ops/elementwise.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -7,30 +8,39 @@
 
 namespace recperf {
 
+// std::max(x, 0.0f) is (x < 0.0f) ? 0.0f : x: branch-free once
+// vectorized, and it passes -0.0 and NaN through unchanged, exactly as
+// the GEMM epilogue's ReLU does.
+
 Tensor
 relu(const Tensor &x)
 {
     Tensor y(x.shape());
     for (int64_t i = 0; i < x.size(); ++i)
-        y.data()[i] = x.data()[i] > 0.0f ? x.data()[i] : 0.0f;
+        y.data()[i] = std::max(x.data()[i], 0.0f);
     return y;
 }
 
 void
 reluInplace(Tensor &x)
 {
-    for (int64_t i = 0; i < x.size(); ++i) {
-        if (x.data()[i] < 0.0f)
-            x.data()[i] = 0.0f;
-    }
+    float *d = x.data();
+    for (int64_t i = 0; i < x.size(); ++i)
+        d[i] = std::max(d[i], 0.0f);
+}
+
+void
+sigmoidInto(const float *x, int64_t n, float *y)
+{
+    for (int64_t i = 0; i < n; ++i)
+        y[i] = 1.0f / (1.0f + std::exp(-x[i]));
 }
 
 Tensor
 sigmoid(const Tensor &x)
 {
     Tensor y(x.shape());
-    for (int64_t i = 0; i < x.size(); ++i)
-        y.data()[i] = 1.0f / (1.0f + std::exp(-x.data()[i]));
+    sigmoidInto(x.data(), x.size(), y.data());
     return y;
 }
 
@@ -60,7 +70,7 @@ concatCols(const std::vector<const Tensor *> &inputs)
         total_cols += t->dim(1);
     }
 
-    Tensor out({rows, total_cols});
+    Tensor out = Tensor::uninitialized({rows, total_cols});
     for (int64_t r = 0; r < rows; ++r) {
         float *dst = out.data() + r * total_cols;
         for (const Tensor *t : inputs) {

@@ -13,14 +13,20 @@
 
 namespace recperf {
 
-/** ReLU applied out-of-place. */
+/**
+ * ReLU applied out-of-place: max(x, 0), so -0.0 and NaN pass through
+ * unchanged (the same ReLU as reluInplace and the GEMM epilogue).
+ */
 Tensor relu(const Tensor &x);
 
-/** ReLU applied in place. */
+/** ReLU applied in place (see relu). */
 void reluInplace(Tensor &x);
 
 /** Logistic sigmoid applied out-of-place (the CTR output, Fig 3). */
 Tensor sigmoid(const Tensor &x);
+
+/** y[i] = sigmoid(x[i]) for i < @p n: sigmoid's kernel on raw storage. */
+void sigmoidInto(const float *x, int64_t n, float *y);
 
 /** Work accounting for an element-wise op over @p elements values. */
 OpCost elementwiseCost(int64_t elements);

@@ -1,10 +1,8 @@
 #include "ops/fully_connected.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 
-#include "core/aligned.hh"
 #include "core/logging.hh"
 #include "core/rng.hh"
 #include "core/thread_pool.hh"
@@ -13,46 +11,33 @@
 
 namespace recperf {
 
-namespace {
-
-/**
- * This thread's B-panel pack scratch, grown to at least @p floats. It
- * persists across calls (one buffer per pool worker and per calling
- * thread), so the steady-state GEMM never touches the heap.
- */
-float *
-packScratch(size_t floats)
-{
-    thread_local AlignedBuffer<float> scratch;
-    if (scratch.size() < floats)
-        scratch.resize(floats);
-    return scratch.data();
-}
-
-} // namespace
-
 void
 gemmBt(const float *a, const float *b, float *c, int64_t m, int64_t n,
-       int64_t k, bool accumulate)
+       int64_t k, bool accumulate, microkernels::GemmEpilogue epilogue)
 {
     obs::Tracer::Scope trace(obs::Tracer::global(), "op", "gemmBt");
-    if (m == 0)
+    if (m == 0 || n == 0)
         return;
-    if (n == 0 || k == 0) {
-        if (!accumulate)
-            std::fill(c, c + m * n, 0.0f);
+    if (k == 0) {
+        // Empty sums: the epilogue of +0.0, or of the old C value.
+        for (int64_t i = 0; i < m; ++i) {
+            for (int64_t j = 0; j < n; ++j) {
+                float &out = c[i * n + j];
+                out = epilogue.apply(accumulate ? out : 0.0f, j);
+            }
+        }
         return;
     }
     // One acquire-load dispatch in the steady state; the first touch
     // of a shape tunes under the cache mutex (never on the pool).
     const KernelCache::GemmEntry &entry = KernelCache::global().gemm(m, n, k);
-    const GemmTaskGrid grid{a, b, c, m, n, k, entry.plan, accumulate};
+    const GemmTaskGrid grid{a, b, c, m, n, k, entry.plan, accumulate,
+                            epilogue};
     const auto t0 = std::chrono::steady_clock::now();
     // One (mc x nc) task is the parallel grain. The lambda captures one
     // pointer, so std::function holds it without a heap allocation.
-    parallelFor(0, grid.tasks(), 1, [&grid](int64_t lo, int64_t hi) {
-        grid.run(lo, hi, packScratch(grid.packFloats()));
-    });
+    parallelFor(0, grid.tasks(), 1,
+                [&grid](int64_t lo, int64_t hi) { grid.run(lo, hi); });
     entry.recordCall(static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t0)
@@ -83,23 +68,23 @@ FullyConnected::FullyConnected(int64_t in_features, int64_t out_features,
 Tensor
 FullyConnected::forward(const Tensor &x) const
 {
-    obs::Tracer::Scope trace(obs::Tracer::global(), "op", "FC::forward");
     RP_ASSERT(x.rank() == 2, "FC input must be rank 2, got %s",
               shapeToString(x.shape()).c_str());
     RP_ASSERT(x.dim(1) == in_, "FC input width %lld != in_features %lld",
               static_cast<long long>(x.dim(1)), static_cast<long long>(in_));
 
-    int64_t batch = x.dim(0);
-    Tensor y({batch, out_});
-    gemmBt(x.data(), weight_.data(), y.data(), batch, out_, in_,
-           /*accumulate=*/false);
-    const float *bias = bias_.data();
-    for (int64_t i = 0; i < batch; ++i) {
-        float *row = y.data() + i * out_;
-        for (int64_t j = 0; j < out_; ++j)
-            row[j] += bias[j];
-    }
+    Tensor y = Tensor::uninitialized({x.dim(0), out_});
+    forwardInto(x.data(), x.dim(0), y.data(), /*relu=*/false);
     return y;
+}
+
+void
+FullyConnected::forwardInto(const float *x, int64_t batch, float *y,
+                            bool relu) const
+{
+    obs::Tracer::Scope trace(obs::Tracer::global(), "op", "FC::forward");
+    gemmBt(x, weight_.data(), y, batch, out_, in_, /*accumulate=*/false,
+           {bias_.data(), relu});
 }
 
 OpCost

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 
+#include "ops/microkernels.hh"
 #include "ops/op_cost.hh"
 #include "tensor/tensor.hh"
 
@@ -47,6 +48,15 @@ class FullyConnected
      */
     Tensor forward(const Tensor &x) const;
 
+    /**
+     * Forward pass into caller-owned storage: y[batch, out_features] =
+     * x[batch, in_features] * W^T + b, then ReLU when @p relu. Bias and
+     * ReLU run in the GEMM tile's store, with the same per-output
+     * arithmetic as forward() followed by reluInplace().
+     */
+    void forwardInto(const float *x, int64_t batch, float *y,
+                     bool relu) const;
+
     /** Number of parameters (weights + bias). */
     int64_t paramCount() const { return in_ * out_ + out_; }
 
@@ -66,9 +76,12 @@ class FullyConnected
  * C[m, n] (+)= A[m, k] * B^T where B is stored as [n, k].
  *
  * @param accumulate when false, C is overwritten; when true, added into.
+ * @param epilogue applied to each output after its sum: +bias[j], then
+ *        ReLU (see microkernels::GemmEpilogue).
  */
 void gemmBt(const float *a, const float *b, float *c, int64_t m, int64_t n,
-            int64_t k, bool accumulate);
+            int64_t k, bool accumulate,
+            microkernels::GemmEpilogue epilogue = {});
 
 } // namespace recperf
 

@@ -96,12 +96,6 @@ measureNs(F &&f)
     return t;
 }
 
-int64_t
-roundUpTo(int64_t v, int64_t quantum)
-{
-    return ((v + quantum - 1) / quantum) * quantum;
-}
-
 /** Best *compiled* tier at or below the policy's resolved tier. */
 KernelIsa
 resolveTier(const IsaPolicy &policy)
@@ -121,11 +115,12 @@ resolveTier(const IsaPolicy &policy)
 }
 
 GemmPlan
-defaultGemmPlan(KernelIsa isa)
+defaultGemmPlan(KernelIsa isa, int64_t k)
 {
     GemmPlan p;
     p.isa = isa;
-    p.blk = GemmBlocking{}; // the seed gemmBt's 32/32/256, nr = 1
+    p.blk = GemmBlocking{}; // the seed gemmBt's 32 x 32 grid, nr = 1
+    p.blk.kc = k;
     p.fn = microkernels::kernelsFor(isa).gemmBlock;
     return p;
 }
@@ -163,31 +158,20 @@ GemmTaskGrid::tasks() const
     return ((m + blk.mc - 1) / blk.mc) * ((n + blk.nc - 1) / blk.nc);
 }
 
-size_t
-GemmTaskGrid::packFloats() const
-{
-    return static_cast<size_t>(
-        microkernels::gemmPackFloats(plan.blk.nc, k, plan.blk.kc));
-}
-
 void
-GemmTaskGrid::run(int64_t lo, int64_t hi, float *pack) const
+GemmTaskGrid::run(int64_t lo, int64_t hi) const
 {
     const GemmBlocking &blk = plan.blk;
     const int64_t m_tiles = (m + blk.mc - 1) / blk.mc;
-    int64_t packed = -1;
     for (int64_t t = lo; t < hi; ++t) {
-        const int64_t panel = t / m_tiles;
-        const int64_t n0 = panel * blk.nc;
-        const int64_t w = std::min(blk.nc, n - n0);
-        if (panel != packed) {
-            microkernels::gemmPackPanel(b, k, n0, w, blk.kc, pack);
-            packed = panel;
-        }
+        const int64_t n0 = (t / m_tiles) * blk.nc;
         const int64_t m0 = (t % m_tiles) * blk.mc;
-        plan.fn(a + m0 * k, k, pack, c + m0 * n + n0, n,
-                std::min(blk.mc, m - m0), w, k, blk.kc, blk.nr,
-                accumulate);
+        microkernels::GemmEpilogue ep = epilogue;
+        if (ep.bias)
+            ep.bias += n0;
+        plan.fn(a + m0 * k, k, b + n0 * k, c + m0 * n + n0, n,
+                std::min(blk.mc, m - m0), std::min(blk.nc, n - n0), k,
+                blk.nr, accumulate, ep);
     }
 }
 
@@ -306,7 +290,7 @@ KernelCache::gemm(int64_t m, int64_t n, int64_t k)
         e->plan = tuneGemm(m, n, k, &e->tuningUs, &e->candidates);
         tunes_.fetch_add(1, std::memory_order_relaxed);
     } else {
-        e->plan = defaultGemmPlan(resolveTier(policy_));
+        e->plan = defaultGemmPlan(resolveTier(policy_), k);
     }
     const GemmEntry *raw = e.get();
     insertGemm(h, std::move(e));
@@ -350,25 +334,22 @@ KernelCache::tuneGemm(int64_t m, int64_t n, int64_t k, double *tuning_us,
 
     // Candidate grid. All blockings within a tier are bit-equivalent
     // re-tilings (microkernels.hh), so the noisy wall-clock choice
-    // below can never change numerical results. KC is clamped to the
-    // rounded-up K so oversized chunks collapse and dedupe.
+    // below can never change numerical results.
     struct Cand
     {
         KernelIsa isa;
         GemmBlocking blk;
     };
     static const GemmBlocking kVectorGrid[] = {
-        {32, 32, 256, 1}, {32, 32, 256, 2}, {32, 32, 256, 4},
-        {16, 32, 256, 1}, {16, 32, 256, 2}, {16, 32, 256, 4},
-        {64, 64, 512, 1}, {64, 64, 512, 2}, {64, 64, 512, 4},
-        {32, 64, 128, 1}, {32, 64, 128, 2}, {32, 64, 128, 4},
+        {32, 32, 1}, {32, 32, 2}, {32, 32, 4},
+        {16, 32, 1}, {16, 32, 2}, {16, 32, 4},
+        {64, 64, 1}, {64, 64, 2}, {64, 64, 4},
+        {32, 64, 1}, {32, 64, 2}, {32, 64, 4},
     };
     static const GemmBlocking kScalarGrid[] = {
-        {32, 32, 256, 1},
-        {32, 32, 256, 2},
+        {32, 32, 1},
+        {32, 32, 2},
     };
-    const int64_t kc_cap =
-        roundUpTo(std::max<int64_t>(k, 1), microkernels::kKcQuantum);
     std::vector<Cand> cands;
     const std::vector<KernelIsa> isas = isaCandidates();
     for (KernelIsa isa : isas) {
@@ -381,21 +362,14 @@ KernelCache::tuneGemm(int64_t m, int64_t n, int64_t k, double *tuning_us,
             ? std::size(kScalarGrid) : std::size(kVectorGrid);
         for (size_t g = 0; g < count; ++g) {
             GemmBlocking blk = grid[g];
-            blk.kc = std::min(blk.kc, kc_cap);
-            const bool dup =
-                std::any_of(cands.begin(), cands.end(), [&](const Cand &c) {
-                    return c.isa == isa && c.blk.mc == blk.mc &&
-                        c.blk.nc == blk.nc && c.blk.kc == blk.kc &&
-                        c.blk.nr == blk.nr;
-                });
-            if (!dup)
-                cands.push_back({isa, blk});
+            blk.kc = k;
+            cands.push_back({isa, blk});
         }
     }
     RP_ASSERT(!cands.empty(), "no kernel candidates for gemm tuning");
 
     // Synthetic operands of the real shape; measured row count is the
-    // candidate's MC so the score prices pack amortization per row.
+    // candidate's MC so the score prices B-panel reuse per row.
     int64_t mrows_max = 1;
     for (const Cand &c : cands)
         mrows_max = std::max(mrows_max, std::min(m, c.blk.mc));
@@ -415,10 +389,8 @@ KernelCache::tuneGemm(int64_t m, int64_t n, int64_t k, double *tuning_us,
         const int64_t mrows = std::max<int64_t>(
             1, std::min(m, c.blk.mc));
         const GemmTaskGrid grid{a.data(), b.data(), out.data(), mrows, n,
-                                k, plan, /*accumulate=*/false};
-        AlignedBuffer<float> pack(grid.packFloats());
-        const uint64_t t = measureNs(
-            [&] { grid.run(0, grid.tasks(), pack.data()); });
+                                k, plan, /*accumulate=*/false, {}};
+        const uint64_t t = measureNs([&] { grid.run(0, grid.tasks()); });
         const double score =
             static_cast<double>(t) / static_cast<double>(mrows);
         if (best.fn == nullptr || score < best_score) {
@@ -583,13 +555,12 @@ KernelCache::dumpTable() const
         std::snprintf(
             line, sizeof line,
             "  gemm m%-5lld n%-5lld k%-5lld -> %-6s mc%-3lld nc%-3lld "
-            "kc%-4lld nr%d  %8llu calls  %10.0f ns/call  (%d cands, "
+            "nr%d  %8llu calls  %10.0f ns/call  (%d cands, "
             "%.0f us tuning)\n",
             static_cast<long long>(e->m), static_cast<long long>(e->n),
             static_cast<long long>(e->k), kernelIsaName(e->plan.isa),
             static_cast<long long>(e->plan.blk.mc),
-            static_cast<long long>(e->plan.blk.nc),
-            static_cast<long long>(e->plan.blk.kc), e->plan.blk.nr,
+            static_cast<long long>(e->plan.blk.nc), e->plan.blk.nr,
             static_cast<unsigned long long>(calls),
             calls ? static_cast<double>(ns) / static_cast<double>(calls)
                   : 0.0,

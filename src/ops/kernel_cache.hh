@@ -7,7 +7,7 @@
  * (dim, pooling) shapes. This cache exploits that: the first time a
  * shape is seen it runs a short tuning sweep — ISA tier (scalar /
  * AVX2 / AVX-512 from runtime CPUID), register-tile width NR, and
- * MC/NC/KC blocking — times each candidate on a synthetic problem of
+ * MC/NC blocking — times each candidate on a synthetic problem of
  * the same shape, and memoizes the winner in a LuaJIT-style dispatch
  * table. Steady-state dispatch is one acquire load on an open-address
  * slot; tuning happens once, serialized under a mutex (never on the
@@ -51,10 +51,12 @@ class Tracer;
 /** Loop-tiling parameters (bit-neutral; see determinism contract). */
 struct GemmBlocking
 {
-    int64_t mc = 32;  ///< rows per task of the parallel (mc x nc) grid
-    int64_t nc = 32;  ///< packed panel width (columns per task)
-    int64_t kc = 256; ///< pack chunk depth (multiple of 64)
-    int nr = 1;       ///< register-tile columns (1, 2, or 4)
+    int64_t mc = 32; ///< rows per task of the parallel (mc x nc) grid
+    int64_t nc = 32; ///< B panel width (columns per task)
+    int nr = 1;      ///< register-tile columns (1, 2, or 4)
+    /** K depth of the one pass each tile makes over a B row: always the
+     *  shape's k (B is read in place). Not tuned; plan reports print it. */
+    int64_t kc = 0;
 };
 
 /** Memoized decision for one GEMM shape. */
@@ -76,13 +78,14 @@ struct SlsPlan
 
 /**
  * One GEMM call C[i][j] (+)= dot(A row i, B row j) for row-major
- * A[m][k], B[n][k], cut into the (mc x nc) task grid of @p plan. Tasks
- * are numbered panel-major, so a run of consecutive tasks packs each B
- * panel once and reuses it down the M tiles. Every output element is
- * computed by exactly one task with the tier's fixed arithmetic, so
- * tasks can run on any thread in any order without changing a bit.
- * gemmBt hands task ranges to the pool; the tuner times one M tile
- * serially — one code path, one bit pattern.
+ * A[m][k], B[n][k], cut into the (mc x nc) task grid of @p plan, with
+ * @p epilogue (bias, ReLU) applied in each tile's store. Tasks are
+ * numbered panel-major, so a run of consecutive tasks reads each B
+ * panel (rows [n0, n0+nc) of B, in place) down the M tiles while it is
+ * cache-hot. Every output element is computed by exactly one task with
+ * the tier's fixed arithmetic, so tasks can run on any thread in any
+ * order without changing a bit. gemmBt hands task ranges to the pool;
+ * the tuner times one M tile serially — one code path, one bit pattern.
  */
 struct GemmTaskGrid
 {
@@ -92,15 +95,13 @@ struct GemmTaskGrid
     int64_t m, n, k;
     const GemmPlan &plan;
     bool accumulate;
+    microkernels::GemmEpilogue epilogue;
 
     /** ceil(m / mc) * ceil(n / nc). */
     int64_t tasks() const;
 
-    /** Pack scratch run() needs: gemmPackFloats(nc, k, kc). */
-    size_t packFloats() const;
-
-    /** Run tasks [lo, hi) serially, packing B panels into @p pack. */
-    void run(int64_t lo, int64_t hi, float *pack) const;
+    /** Run tasks [lo, hi) serially. */
+    void run(int64_t lo, int64_t hi) const;
 };
 
 /** Nearest power of two (ties go up; 0 stays 0) — the SLS cache key

@@ -1,9 +1,5 @@
 #include "ops/microkernels.hh"
 
-#include <algorithm>
-#include <cstring>
-
-#include "core/logging.hh"
 #include "ops/microkernels_impl.hh"
 
 namespace recperf {
@@ -18,24 +14,6 @@ kernelsFor(KernelIsa isa)
       case KernelIsa::Avx512: return avx512Kernels();
     }
     return scalarKernels();
-}
-
-void
-gemmPackPanel(const float *b, int64_t k, int64_t n0, int64_t w,
-              int64_t kc, float *pack)
-{
-    RP_ASSERT(kc > 0 && kc % kKcQuantum == 0,
-              "pack chunk size must be a positive multiple of %lld",
-              static_cast<long long>(kKcQuantum));
-    const int64_t chunks = (k + kc - 1) / kc;
-    for (int64_t q = 0; q < chunks; ++q) {
-        const int64_t base = q * kc;
-        const int64_t kb = std::min(kc, k - base);
-        for (int64_t j = 0; j < w; ++j) {
-            std::memcpy(pack + (q * w + j) * kc, b + (n0 + j) * k + base,
-                        static_cast<size_t>(kb) * sizeof(float));
-        }
-    }
 }
 
 } // namespace microkernels

@@ -11,14 +11,15 @@
  * accumulation pattern per output element — the number of independent
  * accumulator chains, their stride over K, the reduction tree, and the
  * scalar-tail handling never vary with the tuned blocking parameters.
- * MC x NC (the parallel task grid), KC (pack chunk size), NR
+ * B is read in place: column j of a panel is row j of row-major
+ * B[n][k], already contiguous, so each output's K walk is one pass over
+ * two contiguous rows. MC x NC (the parallel task grid), NR
  * (register-tile columns) and the tier's fixed register-tile row count
  * only re-tile *loops*, never re-associate *arithmetic*, so within a
  * pinned ISA the results are bit-identical across thread counts,
- * blocking choices, and cache cold/warm runs.
- * KC is therefore constrained to multiples of kKcQuantum (64), which
- * keeps chunk boundaries aligned with every tier's accumulator stride
- * (scalar steps 4, AVX2 steps 16, AVX-512 steps 32).
+ * blocking choices, and cache cold/warm runs. The tile store then
+ * applies the epilogue in a fixed order: the finished sum (plus the old
+ * C value when accumulating), then +bias, then ReLU.
  *
  * Fixed patterns:
  *  - scalar: 4 independent scalar chains, stride 4 (the seed
@@ -38,6 +39,7 @@
 #ifndef RECPERF_OPS_MICROKERNELS_HH
 #define RECPERF_OPS_MICROKERNELS_HH
 
+#include <algorithm>
 #include <cstdint>
 
 #include "machine/simd.hh"
@@ -45,29 +47,40 @@
 namespace recperf {
 namespace microkernels {
 
-/** KC granularity; keeps pack-chunk edges on accumulator strides. */
-constexpr int64_t kKcQuantum = 64;
+/**
+ * What the GEMM tile store does to each output after its sum: add
+ * bias[j] (when @p bias is set), then clamp with max(x, 0) (when
+ * @p relu). max(x, 0.0f) returns x unless x < 0, so -0.0 and NaN pass
+ * through unchanged.
+ */
+struct GemmEpilogue
+{
+    const float *bias = nullptr; ///< per-column bias, indexed by panel column
+    bool relu = false;
+
+    /** The epilogue of column @p j applied to its finished value @p v. */
+    float
+    apply(float v, int64_t j) const
+    {
+        if (bias)
+            v += bias[j];
+        return relu ? std::max(v, 0.0f) : v;
+    }
+};
 
 /**
- * One A row times a packed B panel (columns [n0, n0+w) of row-major
- * B[n][k]), writing / accumulating into crow[0..w). The pack layout is
- * chunk-major (see gemmPackPanel); @p kc is the pack chunk size and
- * @p nr the register-tile width (1, 2, or 4 columns per inner tile).
+ * @p rows A rows (row stride @p lda) times a B panel (rows [n0, n0+w)
+ * of row-major B[n][k], passed as b + n0*k and read in place), into C
+ * rows of stride @p ldc, each output stored through @p ep. Rows go
+ * through a register tile of the tier's IsaKernels::gemmRows rows, so
+ * each B vector is loaded once per row group; leftover rows go one at
+ * a time through @p nr-wide tiles (1, 2, or 4 columns). Every output
+ * element gets the same arithmetic either way.
  */
-using GemmRowFn = void (*)(const float *arow, const float *pack,
-                           float *crow, int64_t w, int64_t k, int64_t kc,
-                           int nr, bool accumulate);
-
-/**
- * @p rows A rows (row stride @p lda) times the same packed panel, into
- * C rows of stride @p ldc. Rows go through a register tile of the
- * tier's IsaKernels::gemmRows rows, so each packed B vector is loaded
- * once per row group; leftover rows go through gemmRow. Every output
- * element gets exactly gemmRow's arithmetic.
- */
-using GemmBlockFn = void (*)(const float *a, int64_t lda, const float *pack,
+using GemmBlockFn = void (*)(const float *a, int64_t lda, const float *b,
                              float *c, int64_t ldc, int64_t rows, int64_t w,
-                             int64_t k, int64_t kc, int nr, bool accumulate);
+                             int64_t k, int nr, bool accumulate,
+                             GemmEpilogue ep);
 
 /** dst[0..dim) += src[0..dim) (embedding-row gather accumulate). */
 using SlsAccumFn = void (*)(float *dst, const float *src, int64_t dim);
@@ -84,7 +97,6 @@ struct IsaKernels
 {
     /** False when the TU was compiled without this tier's ISA. */
     bool available = false;
-    GemmRowFn gemmRow = nullptr;
     GemmBlockFn gemmBlock = nullptr;
     /** A rows per gemmBlock register tile (1 = no row tiling). */
     int gemmRows = 1;
@@ -98,23 +110,6 @@ struct IsaKernels
  * them (the cache then never dispatches there).
  */
 const IsaKernels &kernelsFor(KernelIsa isa);
-
-/** Floats needed to pack an @p nc-wide panel of K depth @p k. */
-inline int64_t
-gemmPackFloats(int64_t nc, int64_t k, int64_t kc)
-{
-    int64_t chunks = (k + kc - 1) / kc;
-    return chunks > 0 ? chunks * nc * kc : nc;
-}
-
-/**
- * Pack columns [n0, n0+w) of row-major B[n][k] into chunk-major
- * layout: chunk q of column j lives at pack + (q*w + j)*kc, holding
- * min(kc, k - q*kc) contiguous B values (the last chunk is ragged —
- * no zero padding, so -0.0/+0.0 bit patterns are never synthesized).
- */
-void gemmPackPanel(const float *b, int64_t k, int64_t n0, int64_t w,
-                   int64_t kc, float *pack);
 
 } // namespace microkernels
 } // namespace recperf

@@ -41,21 +41,21 @@ const IsaKernels &avx512Kernels();
 namespace detail {
 
 /**
- * One register tile: ROWS A rows against COLS packed columns. The K walk
- * steps kLanes*kAcc floats at a time across pack chunks (chunk edges
- * are STEP-aligned because kc % kKcQuantum == 0), merges the chains
- * with Ops::reduce's fixed tree, then folds the ragged tail (< STEP
- * elements, always inside the last chunk) sequentially — the same
- * shape the seed dotUnrolled used, independent of kc/nr/blocking.
- * ROWS only shares each B vector load across independent outputs; no
- * output's chains ever see another output's terms, so a ROWS-row tile
- * is bit-identical to ROWS one-row tiles.
+ * One register tile: ROWS A rows against COLS B rows, read in place
+ * (row j of the panel at b + j*k). The K walk steps kLanes*kAcc floats
+ * at a time in one pass, merges the chains with Ops::reduce's fixed
+ * tree, then folds the ragged tail (< STEP elements) sequentially —
+ * the same shape the seed dotUnrolled used, independent of nr and the
+ * blocking. ROWS only shares each B vector load across independent
+ * outputs; no output's chains ever see another output's terms, so a
+ * ROWS-row tile is bit-identical to ROWS one-row tiles. The store
+ * applies @p ep to each finished value.
  */
 template <class Ops, int ROWS, int COLS>
 inline void
-gemmTile(const float *arow, int64_t lda, const float *pack, float *crow,
-         int64_t ldc, int64_t j0, int64_t w, int64_t k, int64_t kc,
-         bool accumulate)
+gemmTile(const float *arow, int64_t lda, const float *b, float *crow,
+         int64_t ldc, int64_t j0, int64_t k, bool accumulate,
+         GemmEpilogue ep)
 {
     constexpr int64_t STEP =
         static_cast<int64_t>(Ops::kLanes) * Ops::kAcc;
@@ -65,55 +65,32 @@ gemmTile(const float *arow, int64_t lda, const float *pack, float *crow,
             for (int h = 0; h < Ops::kAcc; ++h)
                 acc[r][c][h] = Ops::zero();
 
+    const float *bcol[COLS];
+    for (int c = 0; c < COLS; ++c)
+        bcol[c] = b + (j0 + c) * k;
     const int64_t k_main = k - (k % STEP);
-    const int64_t chunks = kc > 0 ? (k + kc - 1) / kc : 0;
-    for (int64_t q = 0; q < chunks; ++q) {
-        const int64_t base = q * kc;
-        const int64_t kb = std::min(kc, k - base);
-        const int64_t mb = std::min(kb, k_main - base);
-        const float *x = arow + base;
-        const float *bcol[COLS];
-        for (int c = 0; c < COLS; ++c)
-            bcol[c] = pack + (q * w + j0 + c) * kc;
-        for (int64_t p = 0; p + STEP <= mb; p += STEP) {
-            for (int h = 0; h < Ops::kAcc; ++h) {
-                const int64_t off = p + h * Ops::kLanes;
-                typename Ops::V bv[COLS];
+    for (int64_t p = 0; p < k_main; p += STEP) {
+        for (int h = 0; h < Ops::kAcc; ++h) {
+            const int64_t off = p + h * Ops::kLanes;
+            typename Ops::V bv[COLS];
+            for (int c = 0; c < COLS; ++c)
+                bv[c] = Ops::load(bcol[c] + off);
+            for (int r = 0; r < ROWS; ++r) {
+                const typename Ops::V xv = Ops::load(arow + r * lda + off);
                 for (int c = 0; c < COLS; ++c)
-                    bv[c] = Ops::load(bcol[c] + off);
-                for (int r = 0; r < ROWS; ++r) {
-                    const typename Ops::V xv = Ops::load(x + r * lda + off);
-                    for (int c = 0; c < COLS; ++c)
-                        acc[r][c][h] = Ops::madd(xv, bv[c], acc[r][c][h]);
-                }
-            }
-        }
-    }
-
-    float red[ROWS][COLS];
-    for (int r = 0; r < ROWS; ++r)
-        for (int c = 0; c < COLS; ++c)
-            red[r][c] = Ops::reduce(acc[r][c]);
-
-    if (k_main < k) {
-        const int64_t q = chunks - 1;
-        const int64_t base = q * kc;
-        for (int r = 0; r < ROWS; ++r) {
-            const float *x = arow + r * lda + base;
-            for (int c = 0; c < COLS; ++c) {
-                const float *bc = pack + (q * w + j0 + c) * kc;
-                float t = red[r][c];
-                for (int64_t p = k_main - base; p < k - base; ++p)
-                    t += x[p] * bc[p];
-                red[r][c] = t;
+                    acc[r][c][h] = Ops::madd(xv, bv[c], acc[r][c][h]);
             }
         }
     }
 
     for (int r = 0; r < ROWS; ++r) {
+        const float *x = arow + r * lda;
         for (int c = 0; c < COLS; ++c) {
+            float t = Ops::reduce(acc[r][c]);
+            for (int64_t p = k_main; p < k; ++p)
+                t += x[p] * bcol[c][p];
             float *out = crow + r * ldc + j0 + c;
-            *out = accumulate ? *out + red[r][c] : red[r][c];
+            *out = ep.apply(accumulate ? *out + t : t, j0 + c);
         }
     }
 }
@@ -123,23 +100,20 @@ gemmTile(const float *arow, int64_t lda, const float *pack, float *crow,
  *  a bit-neutral tunable. */
 template <class Ops>
 void
-gemmRowImpl(const float *arow, const float *pack, float *crow, int64_t w,
-            int64_t k, int64_t kc, int nr, bool accumulate)
+gemmRowImpl(const float *arow, const float *b, float *crow, int64_t w,
+            int64_t k, int nr, bool accumulate, GemmEpilogue ep)
 {
     int64_t j = 0;
     if (nr >= 4) {
         for (; j + 4 <= w; j += 4)
-            gemmTile<Ops, 1, 4>(arow, 0, pack, crow, 0, j, w, k, kc,
-                                accumulate);
+            gemmTile<Ops, 1, 4>(arow, 0, b, crow, 0, j, k, accumulate, ep);
     }
     if (nr >= 2) {
         for (; j + 2 <= w; j += 2)
-            gemmTile<Ops, 1, 2>(arow, 0, pack, crow, 0, j, w, k, kc,
-                                accumulate);
+            gemmTile<Ops, 1, 2>(arow, 0, b, crow, 0, j, k, accumulate, ep);
     }
     for (; j < w; ++j)
-        gemmTile<Ops, 1, 1>(arow, 0, pack, crow, 0, j, w, k, kc,
-                            accumulate);
+        gemmTile<Ops, 1, 1>(arow, 0, b, crow, 0, j, k, accumulate, ep);
 }
 
 /** Row-group loop: Ops::kRows-row tiles at most 2 columns wide (so
@@ -147,9 +121,9 @@ gemmRowImpl(const float *arow, const float *pack, float *crow, int64_t w,
  *  time through gemmRowImpl. Row grouping, like nr, is bit-neutral. */
 template <class Ops>
 void
-gemmBlockImpl(const float *a, int64_t lda, const float *pack, float *c,
-              int64_t ldc, int64_t rows, int64_t w, int64_t k, int64_t kc,
-              int nr, bool accumulate)
+gemmBlockImpl(const float *a, int64_t lda, const float *b, float *c,
+              int64_t ldc, int64_t rows, int64_t w, int64_t k, int nr,
+              bool accumulate, GemmEpilogue ep)
 {
     constexpr int R = Ops::kRows;
     int64_t i = 0;
@@ -160,17 +134,17 @@ gemmBlockImpl(const float *a, int64_t lda, const float *pack, float *c,
             int64_t j = 0;
             if (nr >= 2) {
                 for (; j + 2 <= w; j += 2)
-                    gemmTile<Ops, R, 2>(ai, lda, pack, ci, ldc, j, w, k, kc,
-                                        accumulate);
+                    gemmTile<Ops, R, 2>(ai, lda, b, ci, ldc, j, k,
+                                        accumulate, ep);
             }
             for (; j < w; ++j)
-                gemmTile<Ops, R, 1>(ai, lda, pack, ci, ldc, j, w, k, kc,
-                                    accumulate);
+                gemmTile<Ops, R, 1>(ai, lda, b, ci, ldc, j, k, accumulate,
+                                    ep);
         }
     }
     for (; i < rows; ++i)
-        gemmRowImpl<Ops>(a + i * lda, pack, c + i * ldc, w, k, kc, nr,
-                         accumulate);
+        gemmRowImpl<Ops>(a + i * lda, b, c + i * ldc, w, k, nr, accumulate,
+                         ep);
 }
 
 /** dst += src: element-independent vertical adds — bit-identical to
@@ -225,7 +199,6 @@ makeKernels()
 {
     IsaKernels k;
     k.available = true;
-    k.gemmRow = &gemmRowImpl<Ops>;
     k.gemmBlock = &gemmBlockImpl<Ops>;
     k.gemmRows = Ops::kRows;
     k.slsAccum[0] = &slsAccumImpl<Ops, 1>;

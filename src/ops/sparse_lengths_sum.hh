@@ -71,6 +71,17 @@ class EmbeddingTable
                    SlsReduction reduction = SlsReduction::Sum) const;
 
     /**
+     * forward() into caller-owned storage: output row i is written to
+     * dst[i*ld, i*ld + dim) (zero-filled, then accumulated), so a
+     * table's pooled rows can land straight in their column slice of a
+     * wider concat buffer. Bit-identical to forward().
+     */
+    void forwardInto(const std::vector<int64_t> &ids,
+                     const std::vector<int64_t> &lengths, float *dst,
+                     int64_t ld,
+                     SlsReduction reduction = SlsReduction::Sum) const;
+
+    /**
      * Work accounting for one pooled lookup.
      * @param total_ids total number of gathered rows (sum of lengths).
      * @param outputs number of pooled output rows.

@@ -32,13 +32,22 @@ shapeToString(const Shape &shape)
     return out + "]";
 }
 
-Tensor::Tensor(Shape shape) : shape_(std::move(shape))
+Tensor::Tensor(Shape shape) : Tensor(uninitialized(std::move(shape)))
 {
-    RP_ASSERT(shape_.size() <= 4, "tensor rank %zu exceeds 4", shape_.size());
-    size_ = numElements(shape_);
-    buf_.resize(static_cast<size_t>(size_));
     if (size_ > 0)
         std::memset(buf_.data(), 0, static_cast<size_t>(size_) * sizeof(float));
+}
+
+Tensor
+Tensor::uninitialized(Shape shape)
+{
+    Tensor t;
+    t.shape_ = std::move(shape);
+    RP_ASSERT(t.shape_.size() <= 4, "tensor rank %zu exceeds 4",
+              t.shape_.size());
+    t.size_ = numElements(t.shape_);
+    t.buf_.resize(static_cast<size_t>(t.size_));
+    return t;
 }
 
 Tensor::Tensor(Shape shape, float fill_value) : Tensor(std::move(shape))
@@ -129,7 +138,7 @@ Tensor::reshaped(Shape new_shape) const
               "reshape %s -> %s changes element count",
               shapeToString(shape_).c_str(),
               shapeToString(new_shape).c_str());
-    Tensor out(std::move(new_shape));
+    Tensor out = uninitialized(std::move(new_shape));
     if (size_ > 0) {
         std::memcpy(out.data(), data(),
                     static_cast<size_t>(size_) * sizeof(float));

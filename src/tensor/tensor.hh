@@ -19,7 +19,12 @@
 
 namespace recperf {
 
+class EmbeddingTable;
+class FullyConnected;
 class Rng;
+class Tensor;
+
+Tensor concatCols(const std::vector<const Tensor *> &inputs);
 
 /** Shape of a tensor; empty shape denotes a scalar. */
 using Shape = std::vector<int64_t>;
@@ -81,6 +86,17 @@ class Tensor
     Tensor reshaped(Shape new_shape) const;
 
   private:
+    friend class EmbeddingTable;
+    friend class FullyConnected;
+    friend Tensor concatCols(const std::vector<const Tensor *> &inputs);
+
+    /**
+     * Allocate without the zero fill, for a result its producer writes
+     * in full (reshape copy, concat, GEMM and SLS outputs). Contents are
+     * indeterminate until then.
+     */
+    static Tensor uninitialized(Shape shape);
+
     Shape shape_;
     int64_t size_ = 0;
     AlignedBuffer<float> buf_;

@@ -13,9 +13,11 @@
  * the embedding-bound models.
  *
  * The golden checksums reproduce `recperf eval --model rmcX --isa
- * scalar` (rows capped at 4096, batch 16, seed 42). CI runs this
- * binary under RECPERF_THREADS=1 and =4, which is what makes the
- * constants a cross-thread-count determinism anchor.
+ * <tier>` (rows capped at 4096, batch 16 or 64, seed 42) for every tier
+ * the host can run; a tier its CPUID lacks is skipped. CI runs this
+ * binary under RECPERF_THREADS=1 and =4, and the batch-64 anchors pin
+ * 1 and 4 threads themselves, so the constants are a cross-thread-count
+ * determinism anchor.
  */
 
 #include <gtest/gtest.h>
@@ -25,28 +27,51 @@
 #include "backend/compute_backend.hh"
 #include "backend/nmp_backend.hh"
 #include "core/rng.hh"
+#include "core/thread_pool.hh"
 #include "machine/machine_spec.hh"
 #include "model/rec_model.hh"
 #include "model/zoo.hh"
 #include "ops/kernel_cache.hh"
+#include "ops/microkernels.hh"
 #include "ops/sparse_lengths_sum.hh"
 #include "timing/model_timer.hh"
 
 namespace recperf {
 namespace {
 
-/** Pin the kernel cache to the scalar tier; restore it after. */
-class ScopedScalarIsa
+/** Pin the kernel cache to one tier; restore the policy after. */
+class ScopedIsa
 {
   public:
-    ScopedScalarIsa() : saved_(KernelCache::global().policy())
+    explicit ScopedIsa(KernelIsa isa) : saved_(KernelCache::global().policy())
     {
-        KernelCache::global().setPolicy(IsaPolicy{false, KernelIsa::Scalar});
+        KernelCache::global().setPolicy(IsaPolicy{false, isa});
     }
-    ~ScopedScalarIsa() { KernelCache::global().setPolicy(saved_); }
+    ~ScopedIsa() { KernelCache::global().setPolicy(saved_); }
 
   private:
     IsaPolicy saved_;
+};
+
+/** Pin the kernel cache to the scalar tier; restore it after. */
+class ScopedScalarIsa : public ScopedIsa
+{
+  public:
+    ScopedScalarIsa() : ScopedIsa(KernelIsa::Scalar) {}
+};
+
+/** Restore the pool size after a test that changes it. */
+class ScopedThreads
+{
+  public:
+    explicit ScopedThreads(int threads) : saved_(globalThreadCount())
+    {
+        setGlobalThreadCount(threads);
+    }
+    ~ScopedThreads() { setGlobalThreadCount(saved_); }
+
+  private:
+    int saved_;
 };
 
 /** FNV-1a over a tensor's bytes — the eval checksum, verbatim. */
@@ -65,13 +90,20 @@ fnv1a(const Tensor &t)
 
 /** The `recperf eval` recipe: capped model, seeded weights and input. */
 uint64_t
-evalChecksum(const ModelConfig &full)
+evalChecksum(const ModelConfig &full, int64_t batch = 16)
 {
     ModelConfig cfg = full.functionalScale(4096);
     Rng rng(42);
     RecModel model(cfg, rng);
-    ModelInput input = model.randomInput(16, rng);
+    ModelInput input = model.randomInput(batch, rng);
     return fnv1a(model.forward(input));
+}
+
+/** True when this host can run @p isa and this binary carries it. */
+bool
+isaUsable(KernelIsa isa)
+{
+    return isa <= detectIsa() && microkernels::kernelsFor(isa).available;
 }
 
 ModelTiming
@@ -97,6 +129,48 @@ TEST(BackendParity, CpuGoldenChecksumsScalar)
     EXPECT_EQ(evalChecksum(rmc1Small()), 0xe71e7fb4d9ae888dULL);
     EXPECT_EQ(evalChecksum(rmc2Small()), 0x48241e8356dd7045ULL);
     EXPECT_EQ(evalChecksum(rmc3Small()), 0x259a7fa40b909f97ULL);
+}
+
+/**
+ * `eval --model rmc3 --batch 64 --isa <tier>` at RECPERF_THREADS=1 and
+ * 4: batch 64 fills whole GEMM row tiles and splits the task grid
+ * across threads, so these anchor the parallel path.
+ */
+void
+expectRmc3Batch64Checksum(uint64_t want)
+{
+    for (int threads : {1, 4}) {
+        ScopedThreads pool(threads);
+        EXPECT_EQ(evalChecksum(rmc3Small(), 64), want)
+            << "at " << threads << " threads";
+    }
+}
+
+TEST(BackendParity, CpuGoldenChecksumsScalarBatch64)
+{
+    ScopedScalarIsa scalar;
+    expectRmc3Batch64Checksum(0xd3566447b016447cULL);
+}
+
+// Each vector tier has its own fixed accumulation pattern, hence its
+// own bits; a tier this host's CPUID lacks is skipped.
+
+TEST(BackendParity, CpuGoldenChecksumsAvx2)
+{
+    if (!isaUsable(KernelIsa::Avx2))
+        GTEST_SKIP() << "avx2 not available on this host";
+    ScopedIsa pinned(KernelIsa::Avx2);
+    EXPECT_EQ(evalChecksum(rmc3Small()), 0x3d45c0b88d5f3383ULL);
+    expectRmc3Batch64Checksum(0xaa2a4ae35593f582ULL);
+}
+
+TEST(BackendParity, CpuGoldenChecksumsAvx512)
+{
+    if (!isaUsable(KernelIsa::Avx512))
+        GTEST_SKIP() << "avx512 not available on this host";
+    ScopedIsa pinned(KernelIsa::Avx512);
+    EXPECT_EQ(evalChecksum(rmc3Small()), 0x75210fb95032d11aULL);
+    expectRmc3Batch64Checksum(0x67600a8e39383cefULL);
 }
 
 TEST(BackendParity, NmpMatchesCpuChecksumsScalar)

@@ -253,6 +253,76 @@ TEST(CliContract, EmptyArtifactIsAnError)
     expectUsageError("explain --request-log " + empty);
 }
 
+TEST(CliContract, MalformedArtifactExitsTwo)
+{
+    // A malformed artifact is bad input: one error line, exit 2.
+    const std::pair<const char *, const char *> cases[] = {
+        {"huge.json", "[1e999999]"},
+        {"truncated.json", "{\"a\":"},
+        {"token.json", "{\"a\": 1.2.3}"}};
+    for (const auto &[name, text] : cases) {
+        const std::string path = tempPath(name);
+        std::ofstream(path) << text;
+        expectUsageError("report --metrics " + path);
+    }
+    expectUsageError("explain --request-log " + tempPath("truncated.json"));
+}
+
+TEST(CliContract, TruncatedMetricsExportExitsTwoAtEveryOffset)
+{
+    // Property: every proper prefix of a real metrics export (cut
+    // anywhere before its closing brace) is rejected with exit 2 and a
+    // single "error:" line — never accepted, never an abort. One shell
+    // loop runs all the cuts.
+    const std::string full = tempPath("full_metrics.json");
+    ASSERT_EQ(runCli("time --iters 2 --counters --metrics-out " + full)
+                  .status,
+              0);
+    std::ifstream in(full, std::ios::binary);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    const size_t close = text.rfind('}');
+    ASSERT_NE(close, std::string::npos);
+
+    // Each cut prints one line, "<offset> <exit status> <stderr>"; a
+    // multi-line stderr breaks the line count and format below.
+    const std::string script = tempPath("cut_metrics.sh");
+    std::ofstream(script) << R"sh(cli=$1 full=$2 cut=$3
+for i in $(seq 0 $4); do
+  head -c "$i" "$full" > "$cut"
+  e=$("$cli" report --metrics "$cut" 2>&1 >/dev/null)
+  echo "$i $? $e"
+done
+)sh";
+    const std::string cmd = "timeout 300 sh '" + script + "' '" +
+        RECPERF_CLI + "' '" + full + "' '" + tempPath("cut_metrics.json") +
+        "' " + std::to_string(close);
+    std::FILE *pipe = popen(cmd.c_str(), "r");
+    ASSERT_NE(pipe, nullptr);
+    std::string out;
+    char buf[4096];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0)
+        out.append(buf, n);
+    pclose(pipe);
+
+    std::istringstream lines(out);
+    std::string line;
+    size_t checked = 0;
+    while (std::getline(lines, line)) {
+        std::istringstream fields(line);
+        size_t offset = 0;
+        int status = -1;
+        std::string head;
+        fields >> offset >> status >> head;
+        EXPECT_EQ(offset, checked) << line;
+        EXPECT_EQ(status, 2) << line;
+        EXPECT_EQ(head, "error:") << line;
+        ++checked;
+    }
+    EXPECT_EQ(checked, close + 1);
+}
+
 TEST(CliContract, SeedChangesServeOutput)
 {
     CliRun one = runCli("serve --items 2000 --seed 1");

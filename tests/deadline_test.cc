@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "core/cancellation.hh"
@@ -222,6 +223,33 @@ TEST(RecModelCancel, MidFanoutCancelAbandonsTheBatch)
     Tensor out = model.forward(input, &token);
     EXPECT_TRUE(token.cancelled());
     EXPECT_EQ(out.size(), 0);
+    setGlobalThreadCount(original);
+}
+
+TEST(RecModelCancel, ForwardAfterCancelledOneIsCorrect)
+{
+    // A forward abandoned mid-fan-out leaves its thread's activation
+    // buffers half written; the next forward on that thread, at another
+    // batch size too, must still produce the uncancelled bits.
+    int original = globalThreadCount();
+    setGlobalThreadCount(1);
+    Rng rng(1);
+    RecModel model(tinyConfig(), rng);
+    ModelInput big = model.randomInput(9, rng);
+    ModelInput small = model.randomInput(4, rng);
+    Tensor want_big = model.forward(big);
+    Tensor want_small = model.forward(small);
+    for (const ModelInput *next : {&small, &big}) {
+        CancelToken token;
+        token.cancelAfterChecks(2);
+        EXPECT_EQ(model.forward(big, &token).size(), 0);
+        const Tensor &want = next == &big ? want_big : want_small;
+        Tensor got = model.forward(*next);
+        ASSERT_EQ(got.shape(), want.shape());
+        EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                 static_cast<size_t>(got.size()) *
+                                     sizeof(float)));
+    }
     setGlobalThreadCount(original);
 }
 

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "core/rng.hh"
@@ -21,6 +22,7 @@
 #include "model/zoo.hh"
 #include "obs/metrics.hh"
 #include "ops/batch_matmul.hh"
+#include "ops/elementwise.hh"
 #include "ops/fully_connected.hh"
 #include "ops/kernel_cache.hh"
 #include "ops/microkernels.hh"
@@ -217,6 +219,77 @@ TEST_F(KernelCacheTest, PinnedIsaBitwiseAcrossThreadCountsAndColdWarm)
         gemmBt(a.data(), b.data(), cc.data(), m, n, k, false);
         EXPECT_EQ(0, std::memcmp(c1.data(), cc.data(), bytes))
             << "cold/warm drift on " << kernelIsaName(isa);
+    }
+}
+
+TEST_F(KernelCacheTest, EveryBlockingBitwiseWithFusedEpilogue)
+{
+    // The tuner picks among (mc, nc, nr) re-tilings: with B read in
+    // place and bias + ReLU in the tile store, every blocking (the
+    // tuner's grid and degenerate 1-wide ones) must produce the same
+    // bits, with and without accumulate. Narrow panels move each
+    // task's bias offset, so a panel reading the wrong bias column
+    // shows up here.
+    const int64_t m = 37, n = 70, k = 100; // ragged on purpose
+    Rng rng(29);
+    Tensor a = randomTensor({m, k}, rng);
+    Tensor b = randomTensor({n, k}, rng);
+    Tensor bias = randomTensor({n}, rng);
+    bias.at(int64_t{0}) = -0.0f;
+    bias.at(int64_t{1}) = std::numeric_limits<float>::quiet_NaN();
+    bias.at(int64_t{2}) = -std::numeric_limits<float>::infinity();
+    Tensor c0 = randomTensor({m, n}, rng);
+    const size_t bytes = static_cast<size_t>(m * n) * sizeof(float);
+
+    for (KernelIsa isa : usableIsas()) {
+        for (bool accumulate : {false, true}) {
+            Tensor want;
+            for (int64_t mc : {1, 16, 32, 64}) {
+                for (int64_t nc : {1, 32, 64}) {
+                    for (int nr : {1, 2, 4}) {
+                        GemmPlan plan;
+                        plan.isa = isa;
+                        plan.blk = GemmBlocking{mc, nc, nr};
+                        plan.fn = microkernels::kernelsFor(isa).gemmBlock;
+                        Tensor c = c0;
+                        const GemmTaskGrid grid{
+                            a.data(), b.data(), c.data(), m, n, k, plan,
+                            accumulate, {bias.data(), true}};
+                        grid.run(0, grid.tasks());
+                        if (want.empty()) {
+                            want = c;
+                            continue;
+                        }
+                        EXPECT_EQ(0, std::memcmp(want.data(), c.data(),
+                                                 bytes))
+                            << kernelIsaName(isa) << " mc" << mc << " nc"
+                            << nc << " nr" << nr << " accumulate "
+                            << accumulate;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST_F(KernelCacheTest, FusedFullyConnectedEqualsForwardThenRelu)
+{
+    // forwardInto with relu is FullyConnected::forward (sum, then
+    // +bias) followed by reluInplace, bit for bit, on every tier.
+    Rng rng(31);
+    FullyConnected fc(100, 67, rng);
+    fc.bias().fillUniform(rng, -0.5f, 0.5f);
+    Tensor x = randomTensor({13, 100}, rng);
+    for (KernelIsa isa : usableIsas()) {
+        KernelCache::global().setPolicy(IsaPolicy{false, isa});
+        Tensor want = fc.forward(x);
+        reluInplace(want);
+        Tensor got({13, 67});
+        fc.forwardInto(x.data(), 13, got.data(), /*relu=*/true);
+        EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                                 static_cast<size_t>(want.size()) *
+                                     sizeof(float)))
+            << kernelIsaName(isa);
     }
 }
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "core/logging.hh"
 #include "core/rng.hh"
@@ -38,6 +40,35 @@ TEST(Relu, InplaceMatchesOutOfPlace)
     Tensor expected = relu(x);
     reluInplace(x);
     EXPECT_TRUE(x.allClose(expected));
+}
+
+TEST(Relu, SpecialValuesMatchMaxWithZero)
+{
+    // One ReLU semantics everywhere: max(x, 0.0f), which returns x
+    // unless x < 0. So -0.0 and NaN pass through, +inf stays, and -inf
+    // clamps to +0.0 — in relu, reluInplace and the GEMM epilogue.
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    Tensor x({5});
+    x.at(static_cast<int64_t>(0)) = -0.0f;
+    x.at(static_cast<int64_t>(1)) = nan;
+    x.at(static_cast<int64_t>(2)) = inf;
+    x.at(static_cast<int64_t>(3)) = -inf;
+    x.at(static_cast<int64_t>(4)) = -1.0f;
+    Tensor out = relu(x);
+    Tensor in = x;
+    reluInplace(in);
+    for (const Tensor *y : {&out, &in}) {
+        EXPECT_EQ(y->at(static_cast<int64_t>(0)), 0.0f);
+        EXPECT_TRUE(std::signbit(y->at(static_cast<int64_t>(0))));
+        EXPECT_TRUE(std::isnan(y->at(static_cast<int64_t>(1))));
+        EXPECT_EQ(y->at(static_cast<int64_t>(2)), inf);
+        EXPECT_EQ(y->at(static_cast<int64_t>(3)), 0.0f);
+        EXPECT_FALSE(std::signbit(y->at(static_cast<int64_t>(3))));
+        EXPECT_EQ(y->at(static_cast<int64_t>(4)), 0.0f);
+        EXPECT_FALSE(std::signbit(y->at(static_cast<int64_t>(4))));
+    }
+    EXPECT_EQ(0, std::memcmp(out.data(), in.data(), 5 * sizeof(float)));
 }
 
 TEST(Sigmoid, KnownValues)

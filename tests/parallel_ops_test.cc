@@ -4,23 +4,26 @@
  * (FC GEMM, SparseLengthsSum, quantized SLS, BatchMatMul, dot
  * interaction, full RecModel forward) must produce
  * outputs bitwise-identical to its 1-thread execution at every thread
- * count — the execution engine's determinism contract. gemmBt is also
- * held bit for bit to a serial one-row-at-a-time oracle under every
- * pinned ISA tier.
+ * count — the execution engine's determinism contract. gemmBt, with
+ * and without its fused bias + ReLU epilogue, is also held bit for bit
+ * to a scalar spelling-out of each pinned ISA tier's arithmetic
+ * followed by the unfused bias pass and reluInplace.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <vector>
 
-#include "core/aligned.hh"
 #include "core/rng.hh"
 #include "core/thread_pool.hh"
 #include "model/rec_model.hh"
 #include "model/zoo.hh"
 #include "ops/batch_matmul.hh"
+#include "ops/elementwise.hh"
 #include "ops/fully_connected.hh"
 #include "ops/kernel_cache.hh"
 #include "ops/microkernels.hh"
@@ -47,26 +50,84 @@ usableIsas()
 }
 
 /**
- * Serial oracle for gemmBt under a pinned @p isa: all of B packed as
- * one panel at the smallest chunk size, then one gemmRow call per A
- * row with one-column tiles. That tiling is one gemmBt never picks, so
- * a task grid or register tile that re-associates any sum differs from
- * it in some bit.
+ * One output's dot product with the arithmetic @p isa promises
+ * (microkernels.hh), spelled out in scalar code: kAcc chains of kLanes
+ * lanes stepping over K (fused multiply-adds on the vector tiers), the
+ * tier's fixed reduction tree, then the sequential tail. It shares no
+ * code with the kernels, so a tile that re-associates any sum, reads
+ * the wrong B row or drops a tail term differs from it in some bit.
+ */
+float
+tierDot(KernelIsa isa, const float *x, const float *y, int64_t k)
+{
+    const bool vector = isa != KernelIsa::Scalar;
+    const int lanes = isa == KernelIsa::Avx512 ? 16 : vector ? 8 : 4;
+    const int chains = vector ? 2 : 1;
+    const int64_t step = static_cast<int64_t>(lanes) * chains;
+    const int64_t k_main = k - k % step;
+    float acc[2][16] = {};
+    for (int64_t p = 0; p < k_main; p += step) {
+        for (int h = 0; h < chains; ++h) {
+            for (int l = 0; l < lanes; ++l) {
+                const int64_t off = p + h * lanes + l;
+                float &a = acc[h][l];
+                if (vector) {
+                    a = std::fma(x[off], y[off], a);
+                } else {
+                    const float prod = x[off] * y[off];
+                    a = a + prod;
+                }
+            }
+        }
+    }
+    float s[16];
+    for (int l = 0; l < lanes; ++l)
+        s[l] = chains == 2 ? acc[0][l] + acc[1][l] : acc[0][l];
+    float t;
+    if (vector) {
+        // Halving tree: lane l += lane l + width/2, down to one lane.
+        for (int width = lanes; width > 1; width /= 2)
+            for (int l = 0; l < width / 2; ++l)
+                s[l] = s[l] + s[l + width / 2];
+        t = s[0];
+    } else {
+        t = (s[0] + s[1]) + (s[2] + s[3]);
+    }
+    for (int64_t p = k_main; p < k; ++p) {
+        if (vector) {
+            t = std::fma(x[p], y[p], t);
+        } else {
+            const float prod = x[p] * y[p];
+            t = t + prod;
+        }
+    }
+    return t;
+}
+
+/**
+ * The unfused sequence gemmBt's epilogue replaces: C = A * B^T (plus
+ * C when accumulating) with @p isa's arithmetic, then a second pass
+ * adding @p bias (if any), then reluInplace (if @p relu). @p dots holds
+ * tierDot for every (i, j), computed once per shape.
  */
 std::vector<float>
-gemmRowOracle(KernelIsa isa, const float *a, const float *b,
-              std::vector<float> c, int64_t m, int64_t n, int64_t k,
-              bool accumulate)
+unfusedOracle(const std::vector<float> &dots, std::vector<float> c,
+              int64_t m, int64_t n, bool accumulate, const float *bias,
+              bool relu)
 {
-    const int64_t kc = microkernels::kKcQuantum;
-    AlignedBuffer<float> pack(static_cast<size_t>(
-        microkernels::gemmPackFloats(n, k, kc)));
-    microkernels::gemmPackPanel(b, k, 0, n, kc, pack.data());
-    const microkernels::GemmRowFn row =
-        microkernels::kernelsFor(isa).gemmRow;
-    for (int64_t i = 0; i < m; ++i)
-        row(a + i * k, pack.data(), c.data() + i * n, n, k, kc, 1,
-            accumulate);
+    for (size_t i = 0; i < c.size(); ++i)
+        c[i] = accumulate ? c[i] + dots[i] : dots[i];
+    if (bias) {
+        for (int64_t i = 0; i < m; ++i)
+            for (int64_t j = 0; j < n; ++j)
+                c[static_cast<size_t>(i * n + j)] += bias[j];
+    }
+    if (relu) {
+        Tensor t({m, n});
+        std::memcpy(t.data(), c.data(), c.size() * sizeof(float));
+        reluInplace(t);
+        std::memcpy(c.data(), t.data(), c.size() * sizeof(float));
+    }
     return c;
 }
 
@@ -160,12 +221,17 @@ TEST_F(ParallelOpsTest, GemmBtBitwise)
 TEST_F(ParallelOpsTest, GemmBtMatchesSerialRowOracle)
 {
     Rng rng(23);
+    const float inf = std::numeric_limits<float>::infinity();
+    const float special[] = {-0.0f, std::numeric_limits<float>::quiet_NaN(),
+                             inf, -inf};
     for (KernelIsa isa : usableIsas()) {
         KernelCache::global().setPolicy(IsaPolicy{false, isa});
         const int64_t rows = microkernels::kernelsFor(isa).gemmRows;
-        // M around the row tile and the mc tiles; N around both panel
-        // widths the tuner picks from (nc 32 and 64: nc-1, nc+1,
-        // 2*nc+3); K across the tail-only, chunk-edge and deep cases.
+        // M around the row tile and the mc tiles (m % 4 != 0 included);
+        // N around both panel widths the tuner picks from (nc 32 and
+        // 64: nc-1, nc+1, 2*nc+3), odd included; K across the
+        // tail-only (< 32), chain-step, non-multiple-of-64 and deep
+        // cases.
         const std::set<int64_t> ms = {1, 3, rows, rows + 1, 63, 64, 65};
         for (int64_t m : ms) {
             for (int64_t n : {1, 31, 33, 63, 65, 67, 131}) {
@@ -173,34 +239,65 @@ TEST_F(ParallelOpsTest, GemmBtMatchesSerialRowOracle)
                     std::vector<float> a(static_cast<size_t>(m * k));
                     std::vector<float> b(static_cast<size_t>(n * k));
                     std::vector<float> c0(static_cast<size_t>(m * n));
+                    std::vector<float> bias(static_cast<size_t>(n));
                     for (float &v : a)
                         v = rng.nextFloat(-1.0f, 1.0f);
                     for (float &v : b)
                         v = rng.nextFloat(-1.0f, 1.0f);
                     for (float &v : c0)
                         v = rng.nextFloat(-1.0f, 1.0f);
+                    for (size_t j = 0; j < bias.size(); ++j)
+                        bias[j] = j < 4 ? special[j]
+                                        : rng.nextFloat(-1.0f, 1.0f);
+                    std::vector<float> dots(c0.size());
+                    for (int64_t i = 0; i < m; ++i)
+                        for (int64_t j = 0; j < n; ++j)
+                            dots[static_cast<size_t>(i * n + j)] = tierDot(
+                                isa, a.data() + i * k, b.data() + j * k, k);
                     for (bool accumulate : {false, true}) {
-                        const std::vector<float> want =
-                            gemmRowOracle(isa, a.data(), b.data(), c0, m,
-                                          n, k, accumulate);
-                        for (int threads : {1, 2, 3, 4}) {
-                            setGlobalThreadCount(threads);
-                            std::vector<float> c = c0;
-                            gemmBt(a.data(), b.data(), c.data(), m, n, k,
-                                   accumulate);
-                            ASSERT_EQ(0, std::memcmp(want.data(), c.data(),
-                                                     c.size() *
-                                                         sizeof(float)))
-                                << kernelIsaName(isa) << " m" << m << " n"
-                                << n << " k" << k << " accumulate "
-                                << accumulate << " at " << threads
-                                << " threads";
+                        for (bool fused : {false, true}) {
+                            const float *bp = fused ? bias.data() : nullptr;
+                            const std::vector<float> want = unfusedOracle(
+                                dots, c0, m, n, accumulate, bp, fused);
+                            for (int threads : {1, 2, 4}) {
+                                setGlobalThreadCount(threads);
+                                std::vector<float> c = c0;
+                                gemmBt(a.data(), b.data(), c.data(), m, n, k,
+                                       accumulate, {bp, fused});
+                                ASSERT_EQ(0,
+                                          std::memcmp(want.data(), c.data(),
+                                                      c.size() *
+                                                          sizeof(float)))
+                                    << kernelIsaName(isa) << " m" << m
+                                    << " n" << n << " k" << k
+                                    << " accumulate " << accumulate
+                                    << " bias+relu " << fused << " at "
+                                    << threads << " threads";
+                            }
                         }
                     }
                 }
             }
         }
     }
+}
+
+TEST_F(ParallelOpsTest, GemmBtEpilogueOnEmptySums)
+{
+    // k = 0: every sum is empty, so the output is the epilogue of +0.0
+    // (or of the untouched old C value when accumulating).
+    const float bias[] = {-0.0f, -2.0f, 3.0f};
+    std::vector<float> c = {-0.0f, 5.0f, -7.0f};
+    gemmBt(nullptr, nullptr, c.data(), 1, 3, 0, /*accumulate=*/true,
+           {bias, true});
+    EXPECT_TRUE(std::signbit(c[0]) && c[0] == 0.0f); // -0.0 + -0.0
+    EXPECT_EQ(c[1], 3.0f);
+    EXPECT_EQ(c[2], 0.0f);
+    gemmBt(nullptr, nullptr, c.data(), 1, 3, 0, /*accumulate=*/false,
+           {bias, false});
+    EXPECT_FALSE(std::signbit(c[0])); // +0.0 + -0.0
+    EXPECT_EQ(c[1], -2.0f);
+    EXPECT_EQ(c[2], 3.0f);
 }
 
 TEST_F(ParallelOpsTest, FullyConnectedBitwise)

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <thread>
+#include <vector>
+
 #include "core/logging.hh"
 #include "core/rng.hh"
 #include "model/rec_model.hh"
@@ -192,6 +196,50 @@ TEST(RecModel, RandomInputWellFormed)
             EXPECT_GE(id, 0);
             EXPECT_LT(id, cfg.emb.rowsPerTable);
         }
+    }
+}
+
+bool
+bitwiseEqual(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+        std::memcmp(a.data(), b.data(),
+                    static_cast<size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+TEST(RecModelArena, ConcurrentForwardsMatchSerial)
+{
+    // forward() is const and keeps its activation buffers per thread:
+    // two threads running batches 16 and 64 at once, each switching
+    // batch sizes, must reproduce the serial outputs bit for bit. RMC1
+    // keeps the test quick under ThreadSanitizer; its dot-interaction
+    // twin covers the interaction buffer.
+    ModelConfig dot = rmc1Small();
+    dot.name = "RMC1-dot";
+    dot.interaction = InteractionKind::Dot;
+    for (const ModelConfig &full : {rmc1Small(), dot}) {
+        Rng rng(17);
+        RecModel model(full.functionalScale(), rng);
+        const std::vector<ModelInput> inputs = {model.randomInput(16, rng),
+                                                model.randomInput(64, rng)};
+        std::vector<Tensor> serial;
+        for (const ModelInput &in : inputs)
+            serial.push_back(model.forward(in));
+
+        bool ok[2] = {true, true};
+        auto worker = [&](int id) {
+            for (int rep = 0; rep < 4; ++rep) {
+                const size_t which = static_cast<size_t>((id + rep) % 2);
+                if (!bitwiseEqual(model.forward(inputs[which]),
+                                  serial[which]))
+                    ok[id] = false;
+            }
+        };
+        std::thread a(worker, 0), b(worker, 1);
+        a.join();
+        b.join();
+        EXPECT_TRUE(ok[0]) << full.name;
+        EXPECT_TRUE(ok[1]) << full.name;
     }
 }
 

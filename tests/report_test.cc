@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
 #include "machine/machine_spec.hh"
@@ -63,6 +64,24 @@ TEST(ReportJson, RejectsMalformedInputWithOffset)
         std::string(200000, '[') + std::string(200000, ']');
     EXPECT_FALSE(parseJson(deep, v, err));
     EXPECT_NE(err.find("nesting"), std::string::npos) << err;
+}
+
+TEST(ReportJson, NumbersMustBeWholeAndFinite)
+{
+    obs::JsonValue v;
+    std::string err;
+    // An overflowing exponent is malformed input, not infinity; so are
+    // a token strtod reads only partly and non-JSON literals.
+    for (const char *bad : {"[1e999999]", "[-1e999999]", "[1.2.3]",
+                            "[1e]", "[-]", "[NaN]", "[Infinity]",
+                            "[-inf]"}) {
+        EXPECT_FALSE(parseJson(bad, v, err)) << bad;
+        EXPECT_NE(err.find("byte"), std::string::npos) << bad << ": " << err;
+    }
+    ASSERT_TRUE(parseJson("[1e308, -0.0, 2.5e-3]", v, err)) << err;
+    EXPECT_DOUBLE_EQ(v.items[0].asNumber(), 1e308);
+    EXPECT_TRUE(std::signbit(v.items[1].asNumber()));
+    EXPECT_DOUBLE_EQ(v.items[2].asNumber(), 2.5e-3);
 }
 
 TEST(Report, MalformedArtifactReportsErrorNotCrash)

@@ -1201,10 +1201,11 @@ cmdReport(const Cli &cli, Run &)
                      "(--metrics, --trace, and/or --timeseries)\n");
         return 2;
     }
+    // Every render failure is a malformed artifact: bad input, exit 2.
     std::string report = obs::renderReport(inputs, err);
     if (report.empty()) {
         std::fprintf(stderr, "error: %s\n", err.c_str());
-        return 1;
+        return 2;
     }
     std::fputs(report.c_str(), stdout);
     return 0;
@@ -1230,7 +1231,7 @@ cmdExplain(const Cli &cli, Run &)
     std::string view = obs::renderExplain(inputs, err);
     if (view.empty()) {
         std::fprintf(stderr, "error: %s\n", err.c_str());
-        return 1;
+        return 2;
     }
     std::fputs(view.c_str(), stdout);
     return 0;
