@@ -3,8 +3,9 @@
 # repo root so the perf trajectory is tracked in-tree:
 #
 #  - BENCH_parallel_ops.json: thread-scaling of the parallel engine
-#  - BENCH_kernel_tuning.json: tuned microkernel engine vs generic
-#    baseline (GEMM/SLS/crossover/eval suites; stamps detected ISA)
+#  - BENCH_kernel_tuning.json: the fixed-plan microkernels per ISA
+#    tier (scalar baseline, pinned vector tiers, auto) across the
+#    GEMM/SLS/crossover/eval suites; stamps detected ISA
 #  - BENCH_failover.json: availability + p99 vs replica count under
 #    injected shard failures (MTBF = 10x MTTR)
 #  - BENCH_brownout.json: goodput + served p99 under 1.5x overload

@@ -104,10 +104,10 @@ const char *kernelIsaName(KernelIsa isa);
 KernelIsa detectIsa();
 
 /**
- * How the kernel engine picks an ISA: either tune across every tier the
- * host supports ("auto", the default) or pin one tier. Pinning is the
- * bitwise-determinism anchor: with a pinned tier, kernel results are
- * bit-identical across thread counts and cache cold/warm runs.
+ * How the kernel engine picks an ISA: either the best tier the host
+ * supports ("auto", the default) or one pinned tier. Either way every
+ * kernel runs on one tier, so results are bit-identical across thread
+ * counts and cache cold/warm runs, and auto matches pinning its tier.
  */
 struct IsaPolicy
 {

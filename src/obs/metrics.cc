@@ -4,36 +4,10 @@
 #include <cmath>
 
 #include "core/logging.hh"
+#include "obs/json.hh"
 
 namespace recperf {
 namespace obs {
-
-namespace {
-
-/** JSON string escaping for metric names. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strprintf("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 std::string
 humanSeconds(double s)

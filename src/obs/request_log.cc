@@ -7,6 +7,7 @@
 
 #include "core/logging.hh"
 #include "core/stats.hh"
+#include "obs/json.hh"
 #include "obs/report.hh"
 
 namespace recperf {
@@ -28,14 +29,6 @@ const char *const kOutcomeNames[kNumRequestOutcomes] = {
     "dropped_low_priority",
     "failed",
 };
-
-std::string
-num(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
-}
 
 bool
 parsePhaseName(const std::string &name, size_t *out)
@@ -276,10 +269,10 @@ requestRecordJson(const RequestRecord &rec)
     std::string out = "{\"id\": " + std::to_string(rec.id);
     out += ", \"outcome\": \"";
     out += requestOutcomeName(rec.outcome);
-    out += "\", \"arrival\": " + num(rec.arrival);
-    out += ", \"start\": " + num(rec.start);
-    out += ", \"finish\": " + num(rec.finish);
-    out += ", \"latency_s\": " + num(rec.latency);
+    out += "\", \"arrival\": " + jsonNumber(rec.arrival);
+    out += ", \"start\": " + jsonNumber(rec.start);
+    out += ", \"finish\": " + jsonNumber(rec.finish);
+    out += ", \"latency_s\": " + jsonNumber(rec.latency);
     out += ", \"phases\": {";
     bool first = true;
     for (size_t i = 0; i < kNumRequestPhases; ++i) {
@@ -290,7 +283,7 @@ requestRecordJson(const RequestRecord &rec)
         first = false;
         out += "\"";
         out += kPhaseNames[i];
-        out += "\": " + num(rec.phase[i]);
+        out += "\": " + jsonNumber(rec.phase[i]);
     }
     out += "}";
     if (rec.brownoutLevel != 0)
@@ -322,12 +315,12 @@ requestRecordJson(const RequestRecord &rec)
                std::to_string(rec.breakerRejects);
     if (rec.admissionEstimate != 0.0f)
         out += ", \"admission_estimate_s\": " +
-               num(static_cast<double>(rec.admissionEstimate));
+               jsonNumber(static_cast<double>(rec.admissionEstimate));
     if (rec.healthEwma != 0.0f)
         out += ", \"health_ewma\": " +
-               num(static_cast<double>(rec.healthEwma));
+               jsonNumber(static_cast<double>(rec.healthEwma));
     if (rec.offloadBytes != 0.0)
-        out += ", \"offload_bytes\": " + num(rec.offloadBytes);
+        out += ", \"offload_bytes\": " + jsonNumber(rec.offloadBytes);
     out += "}";
     return out;
 }

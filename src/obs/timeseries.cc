@@ -5,21 +5,10 @@
 #include <fstream>
 
 #include "obs/hw_counters.hh"
+#include "obs/json.hh"
 
 namespace recperf {
 namespace obs {
-
-namespace {
-
-std::string
-num(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
-}
-
-} // namespace
 
 void
 TimeSeriesSampler::configure(const TimeSeriesOptions &options)
@@ -187,16 +176,16 @@ TimeSeriesSampler::toJsonl() const
     std::lock_guard<std::mutex> lock(mu_);
     std::string out;
     for (const TimeSeriesSample &s : ring_) {
-        out += "{\"t_s\": " + num(s.t);
+        out += "{\"t_s\": " + jsonNumber(s.t);
         out += ", \"items\": " + std::to_string(s.items);
         out += ", \"violations\": " + std::to_string(s.violations);
-        out += ", \"burn_short\": " + num(s.burnShort);
-        out += ", \"burn_long\": " + num(s.burnLong);
-        out += ", \"flops\": " + num(s.flops);
-        out += ", \"bytes_read\": " + num(s.bytesRead);
-        out += ", \"bytes_written\": " + num(s.bytesWritten);
+        out += ", \"burn_short\": " + jsonNumber(s.burnShort);
+        out += ", \"burn_long\": " + jsonNumber(s.burnLong);
+        out += ", \"flops\": " + jsonNumber(s.flops);
+        out += ", \"bytes_read\": " + jsonNumber(s.bytesRead);
+        out += ", \"bytes_written\": " + jsonNumber(s.bytesWritten);
         out += ", \"dram_lines\": " + std::to_string(s.dramLines);
-        out += ", \"llc_mpki\": " + num(s.llcMpki);
+        out += ", \"llc_mpki\": " + jsonNumber(s.llcMpki);
         out += "}\n";
     }
     return out;

@@ -6,6 +6,7 @@
 
 #include "core/logging.hh"
 #include "core/thread_pool.hh"
+#include "obs/json.hh"
 
 namespace recperf {
 namespace obs {
@@ -22,28 +23,6 @@ poolChunkToTrace(int64_t lo, int64_t hi,
         "pool", strprintf("chunk [%lld, %lld)", static_cast<long long>(lo),
                           static_cast<long long>(hi)),
         t0, t1);
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strprintf("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
 }
 
 /** True when @p v is a plain JSON number (emit unquoted). */
@@ -223,7 +202,7 @@ Tracer::counter(const char *cat, std::string name, double t_seconds,
     ev.ph = 'C';
     ev.tsUs = t_seconds * 1e6;
     ev.tid = tid;
-    ev.args.emplace_back("value", strprintf("%.9g", value));
+    ev.args.emplace_back("value", jsonNumber(value));
     emit(std::move(ev));
 }
 

@@ -29,7 +29,7 @@ gemmBt(const float *a, const float *b, float *c, int64_t m, int64_t n,
         return;
     }
     // One acquire-load dispatch in the steady state; the first touch
-    // of a shape tunes under the cache mutex (never on the pool).
+    // of a shape installs its fixed plan under the cache mutex.
     const KernelCache::GemmEntry &entry = KernelCache::global().gemm(m, n, k);
     const GemmTaskGrid grid{a, b, c, m, n, k, entry.plan, accumulate,
                             epilogue};

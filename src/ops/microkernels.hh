@@ -5,19 +5,19 @@
  * Each vector tier (scalar, AVX2+FMA, AVX-512F) lives in its own
  * translation unit compiled with per-file `-mavx2` / `-mavx512f`
  * flags, so one binary carries every variant and the kernel cache
- * picks among them at runtime from CPUID (machine/simd.hh).
+ * picks the tier at runtime from CPUID (machine/simd.hh).
  *
  * Determinism contract (DESIGN.md §14): every ISA tier fixes ONE
  * accumulation pattern per output element — the number of independent
  * accumulator chains, their stride over K, the reduction tree, and the
- * scalar-tail handling never vary with the tuned blocking parameters.
+ * scalar-tail handling never vary with the blocking parameters.
  * B is read in place: column j of a panel is row j of row-major
  * B[n][k], already contiguous, so each output's K walk is one pass over
- * two contiguous rows. MC x NC (the parallel task grid), NR
- * (register-tile columns) and the tier's fixed register-tile row count
- * only re-tile *loops*, never re-associate *arithmetic*, so within a
- * pinned ISA the results are bit-identical across thread counts,
- * blocking choices, and cache cold/warm runs. The tile store then
+ * two contiguous rows. MC x NC (the parallel task grid) and the tier's
+ * fixed register tile (rows x columns) only re-tile *loops*, never
+ * re-associate *arithmetic*, so within a
+ * tier the results are bit-identical across thread counts, blockings,
+ * and cache cold/warm runs. The tile store then
  * applies the epilogue in a fixed order: the finished sum (plus the old
  * C value when accumulating), then +bias, then ReLU.
  *
@@ -71,16 +71,16 @@ struct GemmEpilogue
 /**
  * @p rows A rows (row stride @p lda) times a B panel (rows [n0, n0+w)
  * of row-major B[n][k], passed as b + n0*k and read in place), into C
- * rows of stride @p ldc, each output stored through @p ep. Rows go
- * through a register tile of the tier's IsaKernels::gemmRows rows, so
- * each B vector is loaded once per row group; leftover rows go one at
- * a time through @p nr-wide tiles (1, 2, or 4 columns). Every output
- * element gets the same arithmetic either way.
+ * rows of stride @p ldc, each output stored through @p ep. Outputs go
+ * through the tier's register tile, IsaKernels::gemmRows A rows by
+ * IsaKernels::gemmCols B columns, so each A vector is loaded once per
+ * column group and each B vector once per row group; ragged rows and
+ * columns go through narrower tiles. Every output element gets the
+ * same arithmetic either way.
  */
 using GemmBlockFn = void (*)(const float *a, int64_t lda, const float *b,
                              float *c, int64_t ldc, int64_t rows, int64_t w,
-                             int64_t k, int nr, bool accumulate,
-                             GemmEpilogue ep);
+                             int64_t k, bool accumulate, GemmEpilogue ep);
 
 /** dst[0..dim) += src[0..dim) (embedding-row gather accumulate). */
 using SlsAccumFn = void (*)(float *dst, const float *src, int64_t dim);
@@ -88,9 +88,6 @@ using SlsAccumFn = void (*)(float *dst, const float *src, int64_t dim);
 /** dst[c] += codes[c] * scale + bias (fused dequantize-accumulate). */
 using QslsAccumFn = void (*)(float *dst, const uint8_t *codes,
                              float scale, float bias, int64_t dim);
-
-/** Unroll variants per SLS kernel (1x / 2x vector step). */
-constexpr int kSlsUnrolls = 2;
 
 /** Kernel set for one ISA tier. */
 struct IsaKernels
@@ -100,8 +97,10 @@ struct IsaKernels
     GemmBlockFn gemmBlock = nullptr;
     /** A rows per gemmBlock register tile (1 = no row tiling). */
     int gemmRows = 1;
-    SlsAccumFn slsAccum[kSlsUnrolls] = {};
-    QslsAccumFn qslsAccum[kSlsUnrolls] = {};
+    /** B columns per gemmBlock register tile. */
+    int gemmCols = 1;
+    SlsAccumFn slsAccum = nullptr;
+    QslsAccumFn qslsAccum = nullptr;
 };
 
 /**

@@ -15,6 +15,7 @@
  *   static constexpr int kLanes;    // fp32 lanes per V
  *   static constexpr int kAcc;      // independent accumulator chains
  *   static constexpr int kRows;     // A rows per gemmBlock register tile
+ *   static constexpr int kCols;     // B columns per gemmBlock register tile
  *   V zero(); V load(const float*); V madd(V a, V b, V acc);
  *   V add(V, V); void store(float*, V);
  *   float reduce(const V acc[kAcc]);           // fixed pairwise tree
@@ -45,11 +46,11 @@ namespace detail {
  * (row j of the panel at b + j*k). The K walk steps kLanes*kAcc floats
  * at a time in one pass, merges the chains with Ops::reduce's fixed
  * tree, then folds the ragged tail (< STEP elements) sequentially —
- * the same shape the seed dotUnrolled used, independent of nr and the
- * blocking. ROWS only shares each B vector load across independent
- * outputs; no output's chains ever see another output's terms, so a
- * ROWS-row tile is bit-identical to ROWS one-row tiles. The store
- * applies @p ep to each finished value.
+ * the same shape the seed dotUnrolled used, independent of the tile
+ * and the blocking. ROWS and COLS only share each vector load across
+ * independent outputs; no output's chains ever see another output's
+ * terms, so a ROWS x COLS tile is bit-identical to ROWS * COLS 1 x 1
+ * tiles. The store applies @p ep to each finished value.
  */
 template <class Ops, int ROWS, int COLS>
 inline void
@@ -95,73 +96,53 @@ gemmTile(const float *arow, int64_t lda, const float *b, float *crow,
     }
 }
 
-/** Row driver: nr-wide tiles, then the ragged column remainder. The
- *  per-column arithmetic is identical for every tile width, so nr is
- *  a bit-neutral tunable. */
-template <class Ops>
+/** One group of R A rows across the panel: COLS-wide tiles at the
+ *  tier's kCols, then the ragged column remainder one at a time. */
+template <class Ops, int R>
 void
-gemmRowImpl(const float *arow, const float *b, float *crow, int64_t w,
-            int64_t k, int nr, bool accumulate, GemmEpilogue ep)
+gemmRowGroup(const float *a, int64_t lda, const float *b, float *c,
+             int64_t ldc, int64_t w, int64_t k, bool accumulate,
+             GemmEpilogue ep)
 {
+    constexpr int C = Ops::kCols;
     int64_t j = 0;
-    if (nr >= 4) {
-        for (; j + 4 <= w; j += 4)
-            gemmTile<Ops, 1, 4>(arow, 0, b, crow, 0, j, k, accumulate, ep);
-    }
-    if (nr >= 2) {
-        for (; j + 2 <= w; j += 2)
-            gemmTile<Ops, 1, 2>(arow, 0, b, crow, 0, j, k, accumulate, ep);
+    if constexpr (C > 1) {
+        for (; j + C <= w; j += C)
+            gemmTile<Ops, R, C>(a, lda, b, c, ldc, j, k, accumulate, ep);
     }
     for (; j < w; ++j)
-        gemmTile<Ops, 1, 1>(arow, 0, b, crow, 0, j, k, accumulate, ep);
+        gemmTile<Ops, R, 1>(a, lda, b, c, ldc, j, k, accumulate, ep);
 }
 
-/** Row-group loop: Ops::kRows-row tiles at most 2 columns wide (so
- *  the accumulators stay in registers), then leftover rows one at a
- *  time through gemmRowImpl. Row grouping, like nr, is bit-neutral. */
+/** Row-group loop: Ops::kRows-row groups, then leftover rows one at a
+ *  time. The tile shape, like the blocking, is bit-neutral. */
 template <class Ops>
 void
 gemmBlockImpl(const float *a, int64_t lda, const float *b, float *c,
-              int64_t ldc, int64_t rows, int64_t w, int64_t k, int nr,
+              int64_t ldc, int64_t rows, int64_t w, int64_t k,
               bool accumulate, GemmEpilogue ep)
 {
     constexpr int R = Ops::kRows;
     int64_t i = 0;
+    for (; i + R <= rows; i += R)
+        gemmRowGroup<Ops, R>(a + i * lda, lda, b, c + i * ldc, ldc, w, k,
+                             accumulate, ep);
     if constexpr (R > 1) {
-        for (; i + R <= rows; i += R) {
-            const float *ai = a + i * lda;
-            float *ci = c + i * ldc;
-            int64_t j = 0;
-            if (nr >= 2) {
-                for (; j + 2 <= w; j += 2)
-                    gemmTile<Ops, R, 2>(ai, lda, b, ci, ldc, j, k,
-                                        accumulate, ep);
-            }
-            for (; j < w; ++j)
-                gemmTile<Ops, R, 1>(ai, lda, b, ci, ldc, j, k, accumulate,
-                                    ep);
-        }
+        for (; i < rows; ++i)
+            gemmRowGroup<Ops, 1>(a + i * lda, lda, b, c + i * ldc, ldc, w,
+                                 k, accumulate, ep);
     }
-    for (; i < rows; ++i)
-        gemmRowImpl<Ops>(a + i * lda, b, c + i * ldc, w, k, nr, accumulate,
-                         ep);
 }
 
 /** dst += src: element-independent vertical adds — bit-identical to
- *  scalar on every tier and at every unroll. */
-template <class Ops, int U>
+ *  scalar on every tier. */
+template <class Ops>
 void
 slsAccumImpl(float *dst, const float *src, int64_t dim)
 {
-    constexpr int64_t STEP = static_cast<int64_t>(Ops::kLanes) * U;
     int64_t c = 0;
-    for (; c + STEP <= dim; c += STEP) {
-        for (int u = 0; u < U; ++u) {
-            const int64_t off = c + u * Ops::kLanes;
-            Ops::store(dst + off,
-                       Ops::add(Ops::load(dst + off), Ops::load(src + off)));
-        }
-    }
+    for (; c + Ops::kLanes <= dim; c += Ops::kLanes)
+        Ops::store(dst + c, Ops::add(Ops::load(dst + c), Ops::load(src + c)));
     for (; c < dim; ++c)
         dst[c] += src[c];
 }
@@ -169,22 +150,18 @@ slsAccumImpl(float *dst, const float *src, int64_t dim)
 /** dst[c] += codes[c]*scale + bias. Vector tiers fuse the dequantize
  *  into one FMA rounding; the scalar tail keeps the two-rounding form
  *  (tolerance contract, not bitwise, across tiers). */
-template <class Ops, int U>
+template <class Ops>
 void
 qslsAccumImpl(float *dst, const uint8_t *codes, float scale, float bias,
               int64_t dim)
 {
-    constexpr int64_t STEP = static_cast<int64_t>(Ops::kLanes) * U;
     const typename Ops::V vs = Ops::broadcast(scale);
     const typename Ops::V vb = Ops::broadcast(bias);
     int64_t c = 0;
-    for (; c + STEP <= dim; c += STEP) {
-        for (int u = 0; u < U; ++u) {
-            const int64_t off = c + u * Ops::kLanes;
-            const typename Ops::V t =
-                Ops::dequantMadd(Ops::loadU8(codes + off), vs, vb);
-            Ops::store(dst + off, Ops::add(Ops::load(dst + off), t));
-        }
+    for (; c + Ops::kLanes <= dim; c += Ops::kLanes) {
+        const typename Ops::V t =
+            Ops::dequantMadd(Ops::loadU8(codes + c), vs, vb);
+        Ops::store(dst + c, Ops::add(Ops::load(dst + c), t));
     }
     for (; c < dim; ++c) {
         const float t = static_cast<float>(codes[c]) * scale + bias;
@@ -201,10 +178,9 @@ makeKernels()
     k.available = true;
     k.gemmBlock = &gemmBlockImpl<Ops>;
     k.gemmRows = Ops::kRows;
-    k.slsAccum[0] = &slsAccumImpl<Ops, 1>;
-    k.slsAccum[1] = &slsAccumImpl<Ops, 2>;
-    k.qslsAccum[0] = &qslsAccumImpl<Ops, 1>;
-    k.qslsAccum[1] = &qslsAccumImpl<Ops, 2>;
+    k.gemmCols = Ops::kCols;
+    k.slsAccum = &slsAccumImpl<Ops>;
+    k.qslsAccum = &qslsAccumImpl<Ops>;
     return k;
 }
 

@@ -23,8 +23,10 @@ struct ScalarOps
     static constexpr int kAcc = 1;
     // A second row doubles the live scalar chains past what the 16
     // SSE registers hold: a 2-row tile ran the RMC3 GEMMs 1.6-1.8x
-    // slower on an AVX-512 Xeon.
+    // slower on an AVX-512 Xeon. A second column does the same: a 1 x 2
+    // tile ran them 2.1-2.3x slower.
     static constexpr int kRows = 1;
+    static constexpr int kCols = 1;
 
     static V
     zero()

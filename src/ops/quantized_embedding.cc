@@ -85,7 +85,7 @@ QuantizedEmbeddingTable::forward(const std::vector<int64_t> &ids,
             lengths[static_cast<size_t>(slot)];
     }
 
-    // Fused dequantize-accumulate through the tuned kernel: no scratch
+    // Fused dequantize-accumulate through the tier's kernel: no scratch
     // row, and vector tiers fold the mul-add into one FMA (tolerance,
     // not bitwise, vs the scalar tier — DESIGN.md §14).
     const KernelCache::SlsEntry &entry = KernelCache::global().sls(

@@ -119,9 +119,9 @@ EmbeddingTable::forwardInto(const std::vector<int64_t> &ids,
             lengths[static_cast<size_t>(slot)];
     }
 
-    // The cache key buckets average pooling: the row-accumulate kernel
-    // (vector tier + unroll) is what tuning picks, and element-wise
-    // vertical adds keep every tier bit-identical to scalar.
+    // The cache key buckets average pooling; the plan is the tier's
+    // row-accumulate kernel, whose element-wise vertical adds keep
+    // every tier bit-identical to scalar.
     const KernelCache::SlsEntry &entry = KernelCache::global().sls(
         dim_, poolingBucket(slots > 0 ? total / slots : 0),
         /*quantized=*/false);

@@ -15,9 +15,11 @@ namespace recperf {
 
 namespace {
 
-/** Config for one shard node: only its share of the embedding tables. */
+/** Config for one shard node: only its share of the embedding tables,
+ *  whose row counts are @p rows. */
 ModelConfig
-shardConfig(const ModelConfig &base, uint32_t shard, uint32_t num_shards)
+shardConfig(const ModelConfig &base, uint32_t shard,
+            const std::vector<int64_t> &rows)
 {
     ModelConfig cfg;
     cfg.name = base.name + strprintf("-shard%u", shard);
@@ -27,17 +29,8 @@ shardConfig(const ModelConfig &base, uint32_t shard, uint32_t num_shards)
     cfg.emb = base.emb;
     cfg.interaction = InteractionKind::Concat;
     cfg.topMlp = {1}; // placeholder head; only SLS time is extracted
-
-    // Tables are dealt round-robin across shards so heterogeneous
-    // per-table sizes spread evenly.
-    cfg.emb.tableRows.clear();
-    int64_t tables = 0;
-    for (int64_t t = shard; t < base.emb.numTables;
-         t += static_cast<int64_t>(num_shards)) {
-        cfg.emb.tableRows.push_back(base.emb.rowsOf(t));
-        ++tables;
-    }
-    cfg.emb.numTables = tables;
+    cfg.emb.tableRows = rows;
+    cfg.emb.numTables = static_cast<int64_t>(rows.size());
     cfg.validate();
     return cfg;
 }
@@ -74,13 +67,17 @@ ShardedInference::ShardedInference(const MachineSpec &machine,
               config_.name.c_str(),
               static_cast<long long>(config_.emb.numTables), num_nodes);
 
+    // Tables are dealt round-robin across shards so heterogeneous
+    // per-table sizes spread evenly.
+    shard_rows_.resize(num_nodes);
+    for (int64_t t = 0; t < config_.emb.numTables; ++t)
+        shard_rows_[static_cast<size_t>(t % num_nodes)].push_back(
+            config_.emb.rowsOf(t));
     for (uint32_t s = 0; s < num_nodes; ++s) {
         TimerOptions opts = options_;
         opts.seed = options_.seed + 0x4000ull * (s + 1);
-        ModelConfig shard_cfg = shardConfig(config_, s, num_nodes);
-        shard_tables_.push_back(shard_cfg.emb.numTables);
         shard_timers_.push_back(std::make_unique<ModelTimer>(
-            machine_, shard_cfg, opts));
+            machine_, shardConfig(config_, s, shard_rows_[s]), opts));
     }
 
     // The aggregator runs everything except the embedding gathers; it
@@ -222,13 +219,7 @@ ShardedInference::run(const RunOptions &options)
         topo.shards = numNodes();
         topo.replicas = replicated ? options.replicas->replicas : 1;
         topo.embDim = config_.emb.embDim;
-        for (uint32_t s = 0; s < numNodes(); ++s) {
-            std::vector<int64_t> rows;
-            for (int64_t t = s; t < config_.emb.numTables;
-                 t += static_cast<int64_t>(numNodes()))
-                rows.push_back(config_.emb.rowsOf(t));
-            topo.tableRows.push_back(std::move(rows));
-        }
+        topo.tableRows = shard_rows_;
         // Aggregator FC state, modeled as one row per output neuron
         // carrying the stack's average per-neuron parameter load.
         int64_t neurons = 0;
@@ -613,7 +604,7 @@ ShardedInference::shardNetworkBytes(uint32_t shard) const
     if (numNodes() <= 1)
         return 0.0;
     return static_cast<double>(options_.batch) *
-        static_cast<double>(shard_tables_.at(shard)) *
+        static_cast<double>(shard_rows_.at(shard).size()) *
         static_cast<double>(config_.emb.embDim) * 4.0;
 }
 

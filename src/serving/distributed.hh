@@ -379,8 +379,8 @@ class ShardedInference
     TimerOptions options_;
     /** One timer per shard, holding that node's table subset. */
     std::vector<std::unique_ptr<ModelTimer>> shard_timers_;
-    /** Tables held by each shard (round-robin deal). */
-    std::vector<int64_t> shard_tables_;
+    /** Row counts of the tables each shard holds (round-robin deal). */
+    std::vector<std::vector<int64_t>> shard_rows_;
     /** Timer for the aggregator's dense work (no tables). */
     std::unique_ptr<ModelTimer> agg_timer_;
 };

@@ -4,8 +4,9 @@
  * built binary: bad input (a flag the command does not read, a value
  * of the wrong kind or out of range, an unknown name, a child flag
  * without its parent) exits 2 with one "error:" line on every
- * command, valid runs never trip the flag-scope assertion, and --seed
- * reaches the simulated traces.
+ * command, valid runs never trip the flag-scope assertion, --seed
+ * reaches the simulated traces, and the default `--isa auto` prints the
+ * same eval checksum as pinning the best tier the host has.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,9 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "machine/simd.hh"
+#include "ops/kernel_cache.hh"
 
 namespace recperf {
 namespace {
@@ -330,6 +334,35 @@ TEST(CliContract, SeedChangesServeOutput)
     ASSERT_EQ(one.status, 0);
     ASSERT_EQ(other.status, 0);
     EXPECT_NE(one.out, other.out);
+}
+
+/** The hex digits of the eval "checksum:" line in @p out, or "". */
+std::string
+checksumDigits(const std::string &out)
+{
+    const size_t at = out.find("checksum:");
+    if (at == std::string::npos)
+        return "";
+    std::istringstream line(out.substr(at + 9));
+    std::string digits;
+    line >> digits;
+    return digits;
+}
+
+TEST(CliContract, AutoIsaMatchesThePinnedBestTier)
+{
+    // Auto resolves to one tier and installs that tier's fixed plans,
+    // so every default run prints the pinned best tier's bits.
+    const std::string best = kernelIsaName(resolveTier(IsaPolicy{}));
+    CliRun pinned = runCli("eval --model rmc1 --batch 16 --isa " + best);
+    ASSERT_EQ(pinned.status, 0);
+    const std::string want = checksumDigits(pinned.out);
+    ASSERT_EQ(want.size(), 16u) << pinned.out;
+    for (int run = 0; run < 5; ++run) {
+        CliRun plain = runCli("eval --model rmc1 --batch 16");
+        ASSERT_EQ(plain.status, 0);
+        EXPECT_EQ(checksumDigits(plain.out), want) << "run " << run;
+    }
 }
 
 TEST(CliContract, DefaultSeedMatchesNoFlag)

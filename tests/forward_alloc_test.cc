@@ -93,7 +93,7 @@ TEST(ForwardAllocs, Rmc3Batch64SteadyStateAllocatesOnlyTheOutput)
     Rng rng(5);
     RecModel model(rmc3Small().functionalScale(), rng);
     const ModelInput input = model.randomInput(64, rng);
-    for (int i = 0; i < 3; ++i) // first touch: kernel tuning, arena
+    for (int i = 0; i < 3; ++i) // first touch: kernel plan installs, arena
         (void)model.forward(input);
 
     constexpr int kForwards = 10;

@@ -197,7 +197,7 @@ TEST(Integration, KernelCacheDumpReflectsModelForward)
 {
     // The path `recperf eval --dump-kernel-cache` walks: a model
     // forward first-touches its GEMM/SLS shapes, and the dump then
-    // names every one of them with a tuned variant. The FC stack's
+    // names every one of them with its plan's variant. The FC stack's
     // batch and the embedding dim must both appear as cache keys.
     KernelCache &cache = KernelCache::global();
     cache.setPolicy(IsaPolicy{}); // clears to a cold cache

@@ -1,10 +1,11 @@
 /**
  * @file
- * Kernel cache / microkernel engine tests: memoization (tune once,
- * hit forever), concurrent first-touch, the pinned-ISA bitwise
- * determinism contract across thread counts and cold/warm runs,
- * vectorized-vs-reference tolerance on Table I and ragged shapes,
- * and warm-cache speedup at the model level.
+ * Kernel cache / microkernel engine tests: memoization (install once,
+ * hit forever), concurrent first-touch, the fixed plan (auto resolves
+ * to one tier and GemmBlocking{}), the bitwise determinism contract
+ * across thread counts and cold/warm runs, vectorized-vs-reference
+ * tolerance on Table I and ragged shapes, and warm-cache speedup at
+ * the model level.
  */
 
 #include <gtest/gtest.h>
@@ -55,7 +56,6 @@ class KernelCacheTest : public ::testing::Test
     {
         threads_before_ = globalThreadCount();
         KernelCache::global().setPolicy(IsaPolicy{});
-        KernelCache::global().setTuningEnabled(true);
     }
 
     void
@@ -63,7 +63,6 @@ class KernelCacheTest : public ::testing::Test
     {
         setGlobalThreadCount(threads_before_);
         KernelCache::global().setPolicy(IsaPolicy{});
-        KernelCache::global().setTuningEnabled(true);
     }
 
     int threads_before_ = 1;
@@ -176,7 +175,7 @@ TEST_F(KernelCacheTest, ConcurrentFirstTouchTunesExactlyOnce)
 {
     // batchMatMulBt with batch >= pool size fans the per-item gemmBt
     // calls across the pool, so every worker first-touches the same
-    // (m, n, k) shape at once; the cache must tune it exactly once.
+    // (m, n, k) shape at once; the cache must install it exactly once.
     // The TSan CI leg runs this with RECPERF_THREADS=4.
     setGlobalThreadCount(4);
     KernelCache &cache = KernelCache::global();
@@ -193,8 +192,7 @@ TEST_F(KernelCacheTest, PinnedIsaBitwiseAcrossThreadCountsAndColdWarm)
 {
     // The determinism contract: with a pinned tier, results are
     // bit-identical across thread counts (warm cache) and across
-    // cold/warm runs (a cold re-tune may pick different blocking —
-    // blocking is bit-neutral by construction).
+    // cold/warm runs (a cold cache re-installs the same fixed plan).
     const int64_t m = 33, n = 65, k = 129; // ragged on purpose
     Rng rng(19);
     Tensor a = randomTensor({m, k}, rng);
@@ -224,12 +222,12 @@ TEST_F(KernelCacheTest, PinnedIsaBitwiseAcrossThreadCountsAndColdWarm)
 
 TEST_F(KernelCacheTest, EveryBlockingBitwiseWithFusedEpilogue)
 {
-    // The tuner picks among (mc, nc, nr) re-tilings: with B read in
-    // place and bias + ReLU in the tile store, every blocking (the
-    // tuner's grid and degenerate 1-wide ones) must produce the same
-    // bits, with and without accumulate. Narrow panels move each
-    // task's bias offset, so a panel reading the wrong bias column
-    // shows up here.
+    // Blocking is bit-neutral: with B read in place and bias + ReLU in
+    // the tile store, every (mc, nc) re-tiling (the fixed plan's and
+    // degenerate 1-wide ones, which also force the tier's narrower
+    // ragged-edge tiles) must produce the same bits, with and without
+    // accumulate. Narrow panels move each task's bias offset, so a
+    // panel reading the wrong bias column shows up here.
     const int64_t m = 37, n = 70, k = 100; // ragged on purpose
     Rng rng(29);
     Tensor a = randomTensor({m, k}, rng);
@@ -245,27 +243,23 @@ TEST_F(KernelCacheTest, EveryBlockingBitwiseWithFusedEpilogue)
         for (bool accumulate : {false, true}) {
             Tensor want;
             for (int64_t mc : {1, 16, 32, 64}) {
-                for (int64_t nc : {1, 32, 64}) {
-                    for (int nr : {1, 2, 4}) {
-                        GemmPlan plan;
-                        plan.isa = isa;
-                        plan.blk = GemmBlocking{mc, nc, nr};
-                        plan.fn = microkernels::kernelsFor(isa).gemmBlock;
-                        Tensor c = c0;
-                        const GemmTaskGrid grid{
-                            a.data(), b.data(), c.data(), m, n, k, plan,
-                            accumulate, {bias.data(), true}};
-                        grid.run(0, grid.tasks());
-                        if (want.empty()) {
-                            want = c;
-                            continue;
-                        }
-                        EXPECT_EQ(0, std::memcmp(want.data(), c.data(),
-                                                 bytes))
-                            << kernelIsaName(isa) << " mc" << mc << " nc"
-                            << nc << " nr" << nr << " accumulate "
-                            << accumulate;
+                for (int64_t nc : {1, 3, 32, 64}) {
+                    GemmPlan plan;
+                    plan.isa = isa;
+                    plan.blk = GemmBlocking{mc, nc};
+                    plan.fn = microkernels::kernelsFor(isa).gemmBlock;
+                    Tensor c = c0;
+                    const GemmTaskGrid grid{
+                        a.data(), b.data(), c.data(), m, n, k, plan,
+                        accumulate, {bias.data(), true}};
+                    grid.run(0, grid.tasks());
+                    if (want.empty()) {
+                        want = c;
+                        continue;
                     }
+                    EXPECT_EQ(0, std::memcmp(want.data(), c.data(), bytes))
+                        << kernelIsaName(isa) << " mc" << mc << " nc" << nc
+                        << " accumulate " << accumulate;
                 }
             }
         }
@@ -394,23 +388,76 @@ TEST_F(KernelCacheTest, AccumulateFlagAndDegenerateShapes)
     gemmBt(a.data(), b.data(), zk.data(), 0, 6, 12, false);
 }
 
-TEST_F(KernelCacheTest, GenericModeInstallsDefaultPlanWithoutTuning)
+TEST_F(KernelCacheTest, FirstTouchInstallsTheFixedPlan)
 {
-    KernelCache &cache = KernelCache::global();
-    cache.setTuningEnabled(false);
+    // Every policy, auto included, installs the fixed plan of one
+    // tier: resolveTier's kernels, with GemmBlocking{}'s task grid and
+    // the 1x SLS accumulate. Auto is then the same plan as pinning
+    // that tier.
+    const GemmBlocking fixed;
+    std::vector<IsaPolicy> policies = {IsaPolicy{}};
+    for (KernelIsa isa : usableIsas())
+        policies.push_back(IsaPolicy{false, isa});
+    for (const IsaPolicy &policy : policies) {
+        KernelCache &cache = KernelCache::global();
+        cache.setPolicy(policy);
+        const KernelIsa tier = resolveTier(policy);
+        const microkernels::IsaKernels &kern = microkernels::kernelsFor(tier);
+        for (int64_t m : {1, 8, 64}) {
+            const GemmPlan &p = cache.gemm(m, 2560, 2048).plan;
+            EXPECT_EQ(tier, p.isa);
+            EXPECT_EQ(fixed.mc, p.blk.mc);
+            EXPECT_EQ(fixed.nc, p.blk.nc);
+            EXPECT_EQ(kern.gemmCols, p.blk.nr);
+            EXPECT_EQ(2048, p.blk.kc);
+            EXPECT_EQ(kern.gemmBlock, p.fn);
+        }
+        for (bool quantized : {false, true}) {
+            const SlsPlan &p = cache.sls(32, 64, quantized).plan;
+            EXPECT_EQ(tier, p.isa);
+            EXPECT_EQ(0, p.unroll);
+            EXPECT_EQ(kern.slsAccum, p.fn);
+            EXPECT_EQ(kern.qslsAccum, p.qfn);
+        }
+        EXPECT_EQ(5u, cache.tuneCount());
+        EXPECT_EQ(5u, cache.size());
+    }
+
+    // Auto resolves to the best tier the host runs and the binary has.
+    EXPECT_EQ(usableIsas().back(), resolveTier(IsaPolicy{}));
+
+    // The fixed plan computes the right answer.
     Rng rng(43);
     Tensor a = randomTensor({8, 32}, rng);
     Tensor b = randomTensor({16, 32}, rng);
     Tensor c({8, 16});
     gemmBt(a.data(), b.data(), c.data(), 8, 16, 32, false);
-    EXPECT_EQ(0u, cache.tuneCount());
-    EXPECT_EQ(1u, cache.size());
-    EXPECT_NE(std::string::npos, cache.dumpTable().find("tuning off"));
-
-    // Generic still computes the right answer.
     Tensor bias({16}, 0.0f);
     Tensor want = reference::fullyConnected(a, b, bias);
     EXPECT_TRUE(c.allClose(want, 1e-4f));
+}
+
+TEST_F(KernelCacheTest, AutoIsBitwiseThePinnedBestTier)
+{
+    // A model forward under auto and under the pinned tier auto
+    // resolves to give the same bits, every time: no plan depends on
+    // a clock.
+    ModelConfig cfg = rmc1Small().functionalScale(256);
+    Rng rng(59);
+    RecModel model(cfg, rng);
+    ModelInput input = model.randomInput(16, rng);
+    KernelCache &cache = KernelCache::global();
+
+    cache.setPolicy(IsaPolicy{false, resolveTier(IsaPolicy{})});
+    const Tensor want = model.forward(input);
+    const size_t bytes = static_cast<size_t>(want.size()) * sizeof(float);
+    for (int run = 0; run < 3; ++run) {
+        cache.setPolicy(IsaPolicy{}); // cold cache each run
+        const Tensor got = model.forward(input);
+        ASSERT_EQ(want.size(), got.size());
+        EXPECT_EQ(0, std::memcmp(want.data(), got.data(), bytes))
+            << "run " << run;
+    }
 }
 
 TEST_F(KernelCacheTest, DumpTableAndMetricsExport)
@@ -434,13 +481,16 @@ TEST_F(KernelCacheTest, DumpTableAndMetricsExport)
     EXPECT_EQ(cache.tuneCount(), snap.counter("kernel.cache.tunes"));
     EXPECT_EQ(static_cast<double>(static_cast<int>(detectIsa())),
               snap.gauge("hw.isa.detected"));
-    EXPECT_GE(snap.gauge("kernel.gemm.m8n12k24.tuning_us"), 0.0);
+    EXPECT_EQ(static_cast<double>(static_cast<int>(resolveTier(IsaPolicy{}))),
+              snap.gauge("kernel.gemm.m8n12k24.variant"));
+    for (const auto &g : snap.gauges)
+        EXPECT_EQ(std::string::npos, g.first.find("tuning")) << g.first;
 }
 
 TEST_F(KernelCacheTest, WarmCacheForwardNotSlowerThanColdRun)
 {
     // Model-level "eval second run >= first run throughput": the cold
-    // forward pays every tuning sweep; warm forwards just dispatch.
+    // forward installs every plan; warm forwards just dispatch.
     ModelConfig cfg = rmc1Small().functionalScale(256);
     Rng rng(53);
     RecModel model(cfg, rng);

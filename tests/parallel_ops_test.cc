@@ -228,8 +228,8 @@ TEST_F(ParallelOpsTest, GemmBtMatchesSerialRowOracle)
         KernelCache::global().setPolicy(IsaPolicy{false, isa});
         const int64_t rows = microkernels::kernelsFor(isa).gemmRows;
         // M around the row tile and the mc tiles (m % 4 != 0 included);
-        // N around both panel widths the tuner picks from (nc 32 and
-        // 64: nc-1, nc+1, 2*nc+3), odd included; K across the
+        // N around 32- and 64-wide panels (nc-1, nc+1, 2*nc+3), odd
+        // included; K across the
         // tail-only (< 32), chain-step, non-multiple-of-64 and deep
         // cases.
         const std::set<int64_t> ms = {1, 3, rows, rows + 1, 63, 64, 65};
