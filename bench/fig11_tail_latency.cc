@@ -18,8 +18,9 @@
  *    is shard imbalance + aggregation;
  *  - shard_straggler: 30% straggling shards — the tail must be
  *    dominated by `shard_straggler` (asserted);
- *  - shard_hedged: the same stragglers with hedged requests — hedges
- *    buy back tail at a visible `hedge` blame share.
+ *  - shard_hedged: the same stragglers with two copies per shard and
+ *    hedged requests — hedges to the second copy buy back tail at a
+ *    visible `hedge` blame share.
  *
  * Invariants asserted in every scenario (the CI observability leg
  * runs this binary):
@@ -109,6 +110,8 @@ runShard(const std::string &name, uint64_t seed, int iters,
     ropts.faults.stragglerProb = straggler_prob;
     ropts.faults.seed = seed;
     ropts.hedge.enabled = hedge;
+    // A hedge goes to the router's second copy of the shard.
+    ropts.replicas.replicas = hedge ? 2 : 1;
     obs::RequestLogger rlog;
     ropts.requestLog = &rlog;
     sim.run(ropts);

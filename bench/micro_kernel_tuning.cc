@@ -16,9 +16,10 @@
  *    cold (the first forward on a cold cache installs every plan) vs
  *    warm (dispatch is one atomic load).
  *
- * Asserts the engine's two contracts on the way out: warm >= cold,
- * and auto >= 1.2x scalar eval throughput whenever a vector tier is
- * available.
+ * Asserts the engine's two contracts: warm forwards install no plan
+ * (the kernel cache's install count is unchanged across the warm
+ * loop), and auto >= 1.2x scalar eval throughput whenever a vector
+ * tier is available.
  *
  *   micro_kernel_tuning [--quick] [--min-time 0.2] [--rows-cap 65536]
  *                       [--out file.json]
@@ -335,8 +336,18 @@ main(int argc, char **argv)
             double cold = now();
             (void)model.forward(input);
             cold = now() - cold;
+            const uint64_t installed = KernelCache::global().tuneCount();
             double warm = secondsPerIter(
                 [&] { (void)model.forward(input); }, min_time);
+            // Contract: the cold forward installed every plan it needs,
+            // so warm forwards are pure dispatch and install none.
+            const uint64_t warm_installs =
+                KernelCache::global().tuneCount() - installed;
+            RP_ASSERT(installed > 0 && warm_installs == 0,
+                      "%s: cold forward installed %llu plan(s), warm "
+                      "forwards %llu more", mode.name.c_str(),
+                      static_cast<unsigned long long>(installed),
+                      static_cast<unsigned long long>(warm_installs));
             double qps = static_cast<double>(batch) / warm;
             std::printf("  %-15s cold %8.3f ms  warm %8.3f ms  %8.1f "
                         "samples/s\n", mode.name.c_str(), cold * 1e3,
@@ -366,12 +377,8 @@ main(int argc, char **argv)
             .add("warm_over_cold", cold_s / warm_s);
     }
 
-    // Contracts: warm dispatch must not be slower than the cold first
-    // forward, and on a vector-capable host auto must clear the 1.2x
-    // bar over scalar.
-    RP_ASSERT(warm_s <= cold_s,
-              "warm eval (%.3f ms) slower than cold (%.3f ms)",
-              warm_s * 1e3, cold_s * 1e3);
+    // Contract: on a vector-capable host auto must clear the 1.2x bar
+    // over scalar.
     if (microkernels::kernelsFor(KernelIsa::Avx2).available &&
         detectIsa() >= KernelIsa::Avx2) {
         RP_ASSERT(auto_qps >= 1.2 * scalar_qps,

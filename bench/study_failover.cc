@@ -96,7 +96,7 @@ runCell(uint32_t replicas, double mtbf_seconds, uint64_t seed, int iters)
     options.faults = faultsAt(mtbf_seconds, seed);
     options.retry = retry;
     options.hedge = hedge;
-    options.replicas = ropts; // engaged even at R = 1 (baseline cell)
+    options.replicas = ropts;
     return sim.run(options);
 }
 

@@ -10,6 +10,8 @@
 #include "ops/microkernels_impl.hh"
 
 #if defined(__AVX2__) && defined(__FMA__)
+#include <cmath>
+
 #include <immintrin.h>
 
 namespace recperf {
@@ -42,6 +44,11 @@ struct Avx2Ops
     madd(V a, V b, V acc)
     {
         return _mm256_fmadd_ps(a, b, acc);
+    }
+    static float
+    madd1(float a, float b, float acc)
+    {
+        return std::fma(a, b, acc);
     }
     static V
     add(V a, V b)

@@ -11,6 +11,8 @@
 #include "ops/microkernels_impl.hh"
 
 #if defined(__AVX512F__)
+#include <cmath>
+
 #include <immintrin.h>
 
 namespace recperf {
@@ -42,6 +44,11 @@ struct Avx512Ops
     madd(V a, V b, V acc)
     {
         return _mm512_fmadd_ps(a, b, acc);
+    }
+    static float
+    madd1(float a, float b, float acc)
+    {
+        return std::fma(a, b, acc);
     }
     static V
     add(V a, V b)

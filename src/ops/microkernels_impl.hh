@@ -17,6 +17,7 @@
  *   static constexpr int kRows;     // A rows per gemmBlock register tile
  *   static constexpr int kCols;     // B columns per gemmBlock register tile
  *   V zero(); V load(const float*); V madd(V a, V b, V acc);
+ *   float madd1(float a, float b, float acc); // madd's rounding, 1 lane
  *   V add(V, V); void store(float*, V);
  *   float reduce(const V acc[kAcc]);           // fixed pairwise tree
  *   V broadcast(float); V loadU8(const uint8_t*);
@@ -45,7 +46,7 @@ namespace detail {
  * One register tile: ROWS A rows against COLS B rows, read in place
  * (row j of the panel at b + j*k). The K walk steps kLanes*kAcc floats
  * at a time in one pass, merges the chains with Ops::reduce's fixed
- * tree, then folds the ragged tail (< STEP elements) sequentially —
+ * tree, then folds the ragged tail (< STEP elements) sequentially with Ops::madd1 —
  * the same shape the seed dotUnrolled used, independent of the tile
  * and the blocking. ROWS and COLS only share each vector load across
  * independent outputs; no output's chains ever see another output's
@@ -89,7 +90,7 @@ gemmTile(const float *arow, int64_t lda, const float *b, float *crow,
         for (int c = 0; c < COLS; ++c) {
             float t = Ops::reduce(acc[r][c]);
             for (int64_t p = k_main; p < k; ++p)
-                t += x[p] * bcol[c][p];
+                t = Ops::madd1(x[p], bcol[c][p], t);
             float *out = crow + r * ldc + j0 + c;
             *out = ep.apply(accumulate ? *out + t : t, j0 + c);
         }

@@ -45,6 +45,12 @@ struct ScalarOps
             acc.f[i] += a.f[i] * b.f[i];
         return acc;
     }
+    static float
+    madd1(float a, float b, float acc)
+    {
+        const float prod = a * b;
+        return acc + prod;
+    }
     static V
     add(V a, V b)
     {

@@ -55,8 +55,9 @@ const char *routerPolicyName(RouterPolicy policy);
 /** Replication / failover knobs of a sharded run. */
 struct ReplicaOptions
 {
-    /** Replicas per shard (>= 1; 1 disables failover). */
-    uint32_t replicas = 2;
+    /** Replicas per shard (>= 1; at 1 there is no failover or hedge
+     *  target). */
+    uint32_t replicas = 1;
 
     RouterPolicy router = RouterPolicy::PrimaryFirst;
 

@@ -181,31 +181,18 @@ RunResult::exportTo(obs::MetricsRegistry &registry) const
 RunResult
 ShardedInference::run(const RunOptions &options)
 {
-    const bool replicated = options.replicas.has_value();
     RP_ASSERT(options.measureIters > 0,
               "need at least one measured iteration");
-    if (replicated) {
-        std::string err = options.replicas->validate();
+    for (const std::string &err :
+         {options.replicas.validate(), validateRetryPolicy(options.retry),
+          validateHedgePolicy(options.hedge, options.retry),
+          options.faults.validate(),
+          validateDeadlineSeconds(options.deadlineSeconds),
+          options.sdc.validate()})
         RP_ASSERT(err.empty(), "%s", err.c_str());
-        err = validateRetryPolicy(options.retry);
-        RP_ASSERT(err.empty(), "%s", err.c_str());
-        err = validateHedgePolicy(options.hedge, options.retry);
-        RP_ASSERT(err.empty(), "%s", err.c_str());
-        err = options.faults.validate();
-        RP_ASSERT(err.empty(), "%s", err.c_str());
-    } else {
-        RP_ASSERT(options.retry.maxRetries >= 0,
-                  "maxRetries cannot be negative");
-    }
-    std::string deadline_err =
-        validateDeadlineSeconds(options.deadlineSeconds);
-    RP_ASSERT(deadline_err.empty(), "%s", deadline_err.c_str());
-    std::string sdc_err = options.sdc.validate();
-    RP_ASSERT(sdc_err.empty(), "%s", sdc_err.c_str());
 
-    FaultInjector injector(
-        options.faults,
-        numNodes() * (replicated ? options.replicas->replicas : 1));
+    const uint32_t replicas = options.replicas.replicas;
+    FaultInjector injector(options.faults, numNodes() * replicas);
     injector.setLog(options.faultLog);
     RunResult result;
 
@@ -217,7 +204,7 @@ ShardedInference::run(const RunOptions &options)
         options.sdc.anyDefense()) {
         CorruptionTopology topo;
         topo.shards = numNodes();
-        topo.replicas = replicated ? options.replicas->replicas : 1;
+        topo.replicas = replicas;
         topo.embDim = config_.emb.embDim;
         topo.tableRows = shard_rows_;
         // Aggregator FC state, modeled as one row per output neuron
@@ -243,18 +230,17 @@ ShardedInference::run(const RunOptions &options)
     }
 
     // Warmup doubles as calibration of the auto hedge delay (p95 of
-    // clean shard service times) and, with the replica layer, of the
-    // post-recovery warm-up factor: the very first run of each shard
-    // timer touches cold simulated caches, so cold-iteration /
-    // steady-state SLS time *is* the embedding-cache refill cost a
-    // revived replica pays.
+    // clean shard service times) and of the post-recovery warm-up
+    // factor: the very first run of each shard timer touches cold
+    // simulated caches, so cold-iteration / steady-state SLS time *is*
+    // the embedding-cache refill cost a revived replica pays.
     std::vector<double> cold;
     std::vector<double> calib;
-    int warmup = std::max(options.warmupIters, replicated ? 2 : 1);
+    int warmup = std::max(options.warmupIters, 2);
     for (int i = 0; i < warmup; ++i) {
         for (auto &timer : shard_timers_) {
             double s = timer->run().secondsByKind(OpKind::SLS);
-            (replicated && i == 0 ? cold : calib).push_back(s);
+            (i == 0 ? cold : calib).push_back(s);
         }
         agg_timer_->run();
     }
@@ -264,23 +250,20 @@ ShardedInference::run(const RunOptions &options)
     // floor below which a deadline budget cannot buy a retry.
     double fresh_p50 = percentile(calib, 50.0);
 
-    std::vector<ReplicaSet> sets;
-    if (replicated) {
-        double warm_factor = options.replicas->warmupFactor;
-        if (warm_factor <= 0.0) {
-            double cold_mean = 0.0;
-            for (double s : cold)
-                cold_mean += s;
-            cold_mean /= static_cast<double>(cold.size());
-            double steady = percentile(calib, 50.0);
-            warm_factor = steady > 0.0
-                ? std::clamp(cold_mean / steady, 1.0, 100.0) : 1.0;
-        }
-        result.warmupFactorUsed = warm_factor;
-        sets.reserve(numNodes());
-        for (uint32_t s = 0; s < numNodes(); ++s)
-            sets.emplace_back(s, *options.replicas, warm_factor);
+    double warm_factor = options.replicas.warmupFactor;
+    if (warm_factor <= 0.0) {
+        double cold_mean = 0.0;
+        for (double s : cold)
+            cold_mean += s;
+        cold_mean /= static_cast<double>(cold.size());
+        warm_factor = fresh_p50 > 0.0
+            ? std::clamp(cold_mean / fresh_p50, 1.0, 100.0) : 1.0;
     }
+    result.warmupFactorUsed = warm_factor;
+    std::vector<ReplicaSet> sets;
+    sets.reserve(numNodes());
+    for (uint32_t s = 0; s < numNodes(); ++s)
+        sets.emplace_back(s, options.replicas, warm_factor);
 
     if (sdc)
         sdc->calibrate(fresh_p50, machine_.dram.streamGBps());
@@ -357,14 +340,10 @@ ShardedInference::run(const RunOptions &options)
                 // table bandwidth from every gather.
                 base *= sdc->serviceSlowdown();
             }
-            ShardOutcome out = replicated
-                ? resolveReplicated(injector, sets[s], options.retry,
-                                    options.hedge, hedge_delay, s, base,
-                                    now, options.chaos, ctx, sdc.get(),
-                                    &result)
-                : resolveShard(injector, options.retry, options.hedge,
-                               hedge_delay, s, base, now, ctx,
-                               sdc.get(), &result);
+            ShardOutcome out = resolveReplicated(
+                injector, sets[s], options.retry, options.hedge,
+                hedge_delay, s, base, now, options.chaos, ctx, sdc.get(),
+                &result);
             double verify = 0.0;
             if (out.ok && sdc) {
                 // Model the rows this batch touched on the serving
@@ -432,8 +411,8 @@ ShardedInference::run(const RunOptions &options)
             rec.deadlineClamped = rl_clamped;
             rec.hedgeWon = crit.hedgeWon;
             rec.criticalShard = crit_shard;
-            rec.replica = (replicated && crit_shard >= 0)
-                ? static_cast<int32_t>(crit.replica) : -1;
+            rec.replica =
+                crit_shard >= 0 ? static_cast<int32_t>(crit.replica) : -1;
             rec.healthEwma = static_cast<float>(crit.healthEwma);
             rec.admissionEstimate = static_cast<float>(fresh_p50);
             rec.batchItems = static_cast<uint32_t>(options_.batch);
@@ -626,127 +605,6 @@ ShardedInference::networkSeconds(double *bytes_out) const
 }
 
 ShardedInference::ShardOutcome
-ShardedInference::resolveShard(FaultInjector &injector,
-                               const RetryPolicy &retry,
-                               const HedgePolicy &hedge,
-                               double hedge_delay, uint32_t shard,
-                               double base_seconds, double now,
-                               const DeadlineCtx &ctx,
-                               const SdcController *sdc,
-                               RunResult *result)
-{
-    const Deadline &dl = ctx.deadline;
-    double waited = 0.0;
-    int max_attempts = retry.maxRetries + 1;
-    // Request-log breakdown carried across attempts; every return
-    // site stamps it onto the outcome without touching the elapsed
-    // arithmetic.
-    ShardOutcome out;
-    auto abandoned = [&](bool was_cancelled) {
-        out.elapsed = waited;
-        out.ok = false;
-        out.cancelled = was_cancelled;
-        out.retryWaitSeconds = waited;
-        return out;
-    };
-    for (int attempt = 0; attempt < max_attempts; ++attempt) {
-        double t_start = now + waited;
-        if (ctx.cancelled() || dl.expired(t_start)) {
-            ctx.cancel();
-            return abandoned(true);
-        }
-        double remaining = dl.remaining(t_start);
-        if (dl.enabled() && remaining < ctx.freshP50) {
-            // Fail fast: not even a median-speed fresh attempt fits
-            // in what is left of the budget, so don't issue one.
-            ++result->deadlineFastFails;
-            ctx.cancel();
-            return abandoned(true);
-        }
-        // Every attempt's effective timeout is the policy timeout
-        // clamped to the remaining budget (+inf when neither bounds).
-        double timeout = dl.clampTimeout(retry.timeoutSeconds, t_start);
-        if (dl.enabled() &&
-            (retry.timeoutSeconds <= 0.0 ||
-             timeout < retry.timeoutSeconds))
-            out.deadlineClamped = true;
-        bool hedge_fits = hedge.enabled && hedge_delay < remaining;
-        // A replica mid-rehydrate is out of rotation: the single-copy
-        // path sees it exactly like a transient down window.
-        bool drained =
-            sdc != nullptr && sdc->replicaDrained(shard, 0, t_start);
-        if (drained || !injector.shardUp(shard, t_start)) {
-            ++result->shardDownEncounters;
-            if (hedge_fits) {
-                // The hedge goes to a replica node, so it rescues the
-                // request even while the primary shard is down.
-                double hedged = base_seconds *
-                    injector.serviceMultiplier(t_start + hedge_delay);
-                ++result->hedgesIssued;
-                ++result->hedgeWins;
-                result->hedgeExtraSeconds += hedged;
-                result->hedgeExtraBytes += shardNetworkBytes(shard);
-                out.elapsed = waited + hedge_delay + hedged;
-                out.ok = true;
-                out.retryWaitSeconds = waited;
-                out.hedgeWaitSeconds = hedge_delay;
-                out.serviceSeconds = base_seconds;
-                out.stragglerSeconds = hedged - base_seconds;
-                ++out.hedges;
-                ++out.hedgeWins;
-                out.hedgeWon = true;
-                return out;
-            }
-            result->wastedSeconds += retry.failFastSeconds;
-            waited += retry.failFastSeconds;
-        } else {
-            double service = base_seconds *
-                injector.serviceMultiplier(t_start);
-            bool hedge_won = false;
-            if (hedge_fits && service > hedge_delay) {
-                double hedged = hedge_delay + base_seconds *
-                    injector.serviceMultiplier(t_start + hedge_delay);
-                ++result->hedgesIssued;
-                result->hedgeExtraSeconds += hedged - hedge_delay;
-                result->hedgeExtraBytes += shardNetworkBytes(shard);
-                ++out.hedges;
-                if (hedged < service) {
-                    ++result->hedgeWins;
-                    ++out.hedgeWins;
-                    hedge_won = true;
-                    service = hedged;
-                }
-            }
-            if (service > timeout) {
-                ++result->timeouts;
-                result->wastedSeconds += timeout;
-                waited += timeout;
-            } else {
-                out.elapsed = waited + service;
-                out.ok = true;
-                out.retryWaitSeconds = waited;
-                out.serviceSeconds = base_seconds;
-                if (hedge_won) {
-                    out.hedgeWaitSeconds = hedge_delay;
-                    out.stragglerSeconds =
-                        service - hedge_delay - base_seconds;
-                    out.hedgeWon = true;
-                } else {
-                    out.stragglerSeconds = service - base_seconds;
-                }
-                return out;
-            }
-        }
-        if (attempt + 1 < max_attempts) {
-            ++result->retries;
-            ++out.retries;
-            waited += retry.backoffBefore(attempt);
-        }
-    }
-    return abandoned(false);
-}
-
-ShardedInference::ShardOutcome
 ShardedInference::resolveReplicated(FaultInjector &injector,
                                     ReplicaSet &set,
                                     const RetryPolicy &retry,
@@ -815,19 +673,14 @@ ShardedInference::resolveReplicated(FaultInjector &injector,
             // the remaining budget: prefer the router's alternate when
             // it fits, otherwise abandon rather than send a doomed
             // request.
-            const HealthTracker &primary_health =
-                set.health(static_cast<uint32_t>(pick.replica));
-            if (primary_health.successes() > 0 &&
-                primary_health.ewmaSeconds() > remaining) {
-                bool alternate_fits = false;
-                if (pick.alternate >= 0) {
-                    const HealthTracker &alt_health = set.health(
-                        static_cast<uint32_t>(pick.alternate));
-                    alternate_fits = alt_health.successes() == 0 ||
-                        alt_health.ewmaSeconds() <= remaining;
-                }
+            auto fits = [&](int replica) {
+                const HealthTracker &h =
+                    set.health(static_cast<uint32_t>(replica));
+                return h.successes() == 0 || h.ewmaSeconds() <= remaining;
+            };
+            if (!fits(pick.replica)) {
                 ++result->replicaSkips;
-                if (!alternate_fits) {
+                if (pick.alternate < 0 || !fits(pick.alternate)) {
                     ctx.cancel();
                     return abandoned(true);
                 }
@@ -849,7 +702,9 @@ ShardedInference::resolveReplicated(FaultInjector &injector,
                 set.recordError(primary, t_start);
                 prev_error_replica = pick.replica;
                 // A down primary is rescued by hedging to the router's
-                // second-best replica — if one is admitted and alive.
+                // second-best replica — if one is admitted and alive, and
+                // answers within the attempt's timeout.
+                double lost = retry.failFastSeconds;
                 if (hedge_fits && pick.alternate >= 0) {
                     auto alt = static_cast<uint32_t>(pick.alternate);
                     double t_hedge = t_start + hedge_delay;
@@ -858,35 +713,43 @@ ShardedInference::resolveReplicated(FaultInjector &injector,
                         double hedged =
                             base_seconds * multiplier(t_hedge) * warm;
                         ++result->hedgesIssued;
-                        ++result->hedgeWins;
-                        ++result->failovers;
+                        ++out.hedges;
                         result->hedgeExtraSeconds += hedged;
                         result->hedgeExtraBytes +=
                             shardNetworkBytes(shard);
-                        result->warmupPenaltySeconds +=
-                            hedged - hedged / warm;
-                        set.recordSuccess(alt, hedged, t_hedge);
-                        out.elapsed = waited + hedge_delay + hedged;
-                        out.ok = true;
-                        out.replica = alt;
-                        out.retryWaitSeconds = waited;
-                        out.hedgeWaitSeconds = hedge_delay;
-                        out.serviceSeconds = base_seconds;
-                        out.warmupSeconds = hedged - hedged / warm;
-                        out.stragglerSeconds =
-                            hedged / warm - base_seconds;
-                        ++out.hedges;
-                        ++out.hedgeWins;
-                        out.hedgeWon = true;
-                        out.healthEwma =
-                            set.health(alt).ewmaSeconds();
-                        return out;
+                        if (hedge_delay + hedged <= timeout) {
+                            ++result->hedgeWins;
+                            ++result->failovers;
+                            result->warmupPenaltySeconds +=
+                                hedged - hedged / warm;
+                            set.recordSuccess(alt, hedged, t_hedge);
+                            out.elapsed = waited + hedge_delay + hedged;
+                            out.ok = true;
+                            out.replica = alt;
+                            out.retryWaitSeconds = waited;
+                            out.hedgeWaitSeconds = hedge_delay;
+                            out.serviceSeconds = base_seconds;
+                            out.warmupSeconds = hedged - hedged / warm;
+                            out.stragglerSeconds =
+                                hedged / warm - base_seconds;
+                            ++out.hedgeWins;
+                            out.hedgeWon = true;
+                            out.healthEwma =
+                                set.health(alt).ewmaSeconds();
+                            return out;
+                        }
+                        // The rescue straggled past the timeout: it is
+                        // abandoned like any other slow attempt.
+                        ++result->timeouts;
+                        set.recordError(alt, t_start + timeout);
+                        lost = timeout;
+                    } else {
+                        ++result->shardDownEncounters;
+                        set.recordError(alt, t_hedge);
                     }
-                    ++result->shardDownEncounters;
-                    set.recordError(alt, t_hedge);
                 }
-                result->wastedSeconds += retry.failFastSeconds;
-                waited += retry.failFastSeconds;
+                result->wastedSeconds += lost;
+                waited += lost;
             } else {
                 double warm = set.warmupMultiplier(primary, t_start);
                 double service =

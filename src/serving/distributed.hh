@@ -16,7 +16,6 @@
 #define RECPERF_SERVING_DISTRIBUTED_HH
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/cancellation.hh"
@@ -45,27 +44,26 @@ struct NetworkConfig
 
 /**
  * Configuration of one sharded closed-loop run — the single entry
- * point. The defaults describe a clean run: no faults, no hedging, no
- * replica layer. Turning knobs composes: any FaultOptions activates the fault
- * schedule, engaging `replicas` activates the replica/failover layer
- * (breakers, health routing, warm-up — even with replicas.replicas ==
- * 1, which exercises that machinery without a failover target), and
- * `chaos` layers scripted fault windows on top.
+ * point. The defaults describe a clean run: no faults, no hedging, one
+ * copy per shard. Every shard sits behind a ReplicaSet of
+ * `replicas.replicas` copies (R >= 1) with breakers, health routing
+ * and warm-up; turning knobs composes: any FaultOptions activates the
+ * fault schedule, R >= 2 gives the router a failover and hedge target,
+ * and `chaos` layers scripted fault windows on top.
  */
 struct RunOptions
 {
     /**
-     * Warm-up iterations before measurement; they also calibrate the
-     * auto hedge delay (p95 of clean shard times) and, with the
-     * replica layer, the post-recovery warm-up factor. Clamped to >= 1
-     * (>= 2 with replicas, whose calibration needs a cold and a steady
-     * sample).
+     * Warm-up iterations before measurement, clamped to >= 2: the
+     * first (cold) sample calibrates the post-recovery warm-up factor,
+     * the rest calibrate the auto hedge delay (p95 of clean shard
+     * times) and the fresh-attempt p50.
      */
     int warmupIters = 20;
 
     int measureIters = 100;
 
-    /** Fault schedule of shard (or replica) failure processes. */
+    /** Fault schedule of the replicas' failure processes. */
     FaultOptions faults;
 
     /** Timeout / retry / backoff mitigation. */
@@ -74,15 +72,10 @@ struct RunOptions
     /** Tail-latency hedging (delaySeconds == 0 auto-calibrates). */
     HedgePolicy hedge;
 
-    /**
-     * Replication of every shard. Disengaged (nullopt) runs the
-     * single-copy path where a hedge assumes an implicit spare
-     * replica; engaged runs ReplicaSet routing with breakers and
-     * warm-up bookkeeping.
-     */
-    std::optional<ReplicaOptions> replicas;
+    /** Replication and routing of every shard (R >= 1). */
+    ReplicaOptions replicas;
 
-    /** Optional scripted chaos windows (replica-layer runs only). */
+    /** Optional scripted chaos windows. */
     const ChaosSchedule *chaos = nullptr;
 
     /**
@@ -132,7 +125,7 @@ struct RunOptions
 
 /**
  * Everything one sharded run reports: the mitigation accounting
- * (timeouts, retries, hedging, deadlines), the replica-layer
+ * (timeouts, retries, hedging, deadlines), the replica routers'
  * failover/breaker/warm-up bookkeeping, and the mean latency breakdown
  * of completed inferences.
  */
@@ -262,21 +255,19 @@ class ShardedInference
     /**
      * Closed-loop run under @p options — the one entry point.
      *
-     * Per inference, every shard request is resolved against the fault
-     * schedule: a down shard fails fast and is retried (with
-     * exponential backoff) up to RetryPolicy::maxRetries times; an
-     * attempt outliving the timeout is abandoned and retried; when
-     * hedging is on, a duplicate request goes to a replica after the
-     * hedge delay and the shard's latency becomes min(primary, hedge).
-     * Retry exhaustion on any shard fails the inference — it never
-     * hangs.
+     * Per inference, every shard request goes through that shard's
+     * ReplicaSet. Its R replicas run independent failure processes
+     * (process r of shard s is seeded stream s*R + r), and the set
+     * routes each attempt by ReplicaOptions::router among replicas
+     * whose circuit breaker admits the request. A down replica fails
+     * fast and is retried (with exponential backoff) up to
+     * RetryPolicy::maxRetries times; an attempt outliving the timeout
+     * is abandoned and retried. When hedging is on, a duplicate goes
+     * to the router's second-best replica after the hedge delay (and
+     * rescues a down primary); at R = 1 there is no second copy, so
+     * no hedge fires. Retry exhaustion on any shard fails the
+     * inference — it never hangs.
      *
-     * With `options.replicas` engaged, each shard's R replicas run
-     * independent failure processes (process r of shard s is seeded
-     * stream s*R + r) and a ReplicaSet routes each attempt by
-     * ReplicaOptions::router among replicas whose circuit breaker
-     * admits the request; hedges (and rescues of a down primary) go to
-     * the router's second-best replica rather than a blind duplicate.
      * Errors and timeouts feed each replica's HealthTracker and
      * CircuitBreaker, so a dead replica is failed over after
      * `breaker.errorThreshold` strikes and probed back in once it
@@ -300,7 +291,7 @@ class ShardedInference
         /** Abandoned by deadline/cancellation, not by retry
          *  exhaustion. */
         bool cancelled = false;
-        /** Replica that served the winning attempt (0 single-copy). */
+        /** Replica that served the winning attempt. */
         uint32_t replica = 0;
 
         // Causal breakdown of `elapsed` for the request log. The
@@ -346,15 +337,6 @@ class ShardedInference
                 token->cancel();
         }
     };
-
-    ShardOutcome resolveShard(FaultInjector &injector,
-                              const RetryPolicy &retry,
-                              const HedgePolicy &hedge,
-                              double hedge_delay, uint32_t shard,
-                              double base_seconds, double now,
-                              const DeadlineCtx &ctx,
-                              const SdcController *sdc,
-                              RunResult *result);
 
     ShardOutcome resolveReplicated(FaultInjector &injector,
                                    ReplicaSet &set,

@@ -353,21 +353,18 @@ TEST(ChaosDeterminism, ThreadCountDoesNotPerturbResults)
 
 TEST(ChaosDeterminism, ResilientPathMatchesAcrossThreadCounts)
 {
-    // Same guarantee for the PR-1 single-copy path used when R = 1.
+    // Same guarantee at one copy per shard (the default R = 1), where
+    // only retries and the breaker act on renewal failures.
     FaultOptions faults = renewalFaults(10e-3, 1e-3, 7);
     faults.stragglerProb = 0.1;
     faults.stragglerAlpha = 1.5;
     faults.stragglerMin = 2.0;
-    RetryPolicy retry = standardRetry();
-    HedgePolicy hedge;
-    hedge.enabled = true;
 
     RunOptions options;
     options.warmupIters = kWarmup;
     options.measureIters = kIters;
     options.faults = faults;
-    options.retry = retry;
-    options.hedge = hedge;
+    options.retry = standardRetry();
 
     int original = globalThreadCount();
     setGlobalThreadCount(1);

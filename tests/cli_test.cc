@@ -172,13 +172,27 @@ TEST(CliContract, FlagsACommandIgnoresExitTwo)
 
 TEST(CliContract, ReplicaFlagsWithOneReplicaExitTwo)
 {
-    // The failover layer only runs at --replicas >= 2.
+    // Router, breaker, warm-up and chaos knobs need --replicas >= 2.
     for (const char *args :
          {"shard --iters 10 --router p2c",
           "shard --iters 10 --breaker-errors 5",
           "shard --iters 10 --warmup-ms 3", "shard --iters 10 --chaos-ms 3",
           "shard --iters 10 --chaos-events 2"}) {
         expectUsageError(args);
+    }
+}
+
+TEST(CliContract, HedgeWithOneReplicaExitsTwo)
+{
+    // A hedge goes to the router's second copy; one copy has none.
+    for (const char *args :
+         {"shard --iters 10 --hedge",
+          "shard --iters 10 --replicas 1 --hedge --hedge-ms 0.1"}) {
+        expectUsageError(args);
+        EXPECT_NE(runCli(args, /*capture_stderr=*/true)
+                      .out.find("--hedge has no effect with --replicas=1"),
+                  std::string::npos)
+            << args;
     }
 }
 

@@ -43,7 +43,8 @@ deadShardFaults()
 
 RunResult
 runSharded(const FaultOptions &faults, const RetryPolicy &retry,
-           const HedgePolicy &hedge, int measure = 120)
+           const HedgePolicy &hedge, int measure = 120,
+           uint32_t replicas = 1, const ChaosSchedule *chaos = nullptr)
 {
     TimerOptions opts;
     opts.batch = 16;
@@ -55,6 +56,8 @@ runSharded(const FaultOptions &faults, const RetryPolicy &retry,
     options.faults = faults;
     options.retry = retry;
     options.hedge = hedge;
+    options.replicas.replicas = replicas;
+    options.chaos = chaos;
     return sim.run(options);
 }
 
@@ -184,8 +187,9 @@ TEST(Resilient, HedgingImprovesTailUnderStragglers)
     HedgePolicy on;
     on.enabled = true; // auto p95 delay
 
-    RunResult r_off = runSharded(f, retry, off);
-    RunResult r_on = runSharded(f, retry, on);
+    // A hedge goes to the router's second copy, so it needs R = 2.
+    RunResult r_off = runSharded(f, retry, off, 120, 2);
+    RunResult r_on = runSharded(f, retry, on, 120, 2);
     ASSERT_EQ(r_off.completed, r_on.completed);
     EXPECT_GT(r_on.hedgesIssued, 0u);
     EXPECT_GT(r_on.hedgeWins, 0u);
@@ -216,15 +220,57 @@ TEST(Resilient, RetryExhaustionFailsInsteadOfHanging)
 
 TEST(Resilient, HedgeRescuesDownShard)
 {
+    // Shard 0's primary copy is dead for the whole run; its second
+    // copy stays up, so the hedge to it rescues every request.
+    ChaosSchedule chaos;
+    chaos.add({ChaosEvent::Kind::KillReplica, 0.0, 1e9, 0, 0, 1.0});
     RetryPolicy retry;
     retry.maxRetries = 1;
     HedgePolicy hedge;
     hedge.enabled = true;
-    RunResult r = runSharded(deadShardFaults(), retry, hedge, 50);
+    RunResult r = runSharded(FaultOptions{}, retry, hedge, 50, 2, &chaos);
     EXPECT_EQ(r.completed, 50u);
     EXPECT_EQ(r.failed, 0u);
     EXPECT_GT(r.hedgeWins, 0u);
+    EXPECT_GT(r.failovers, 0u);
     EXPECT_DOUBLE_EQ(r.availability(), 1.0);
+}
+
+TEST(Resilient, RescueHedgeHonorsTheTimeout)
+{
+    // Shard 0's primary copy is dead, so its half-open probes are
+    // rescued by hedges to the second copy, and half of all service
+    // times straggle far past the timeout. A straggling rescue times
+    // out and retries like any other attempt, so no inference outlives
+    // its attempts' timeouts and backoffs.
+    ChaosSchedule chaos;
+    chaos.add({ChaosEvent::Kind::KillReplica, 0.0, 1e9, 0, 0, 1.0});
+    FaultOptions f = stragglerFaults(0.5);
+    f.stragglerMin = 100.0;
+    RetryPolicy retry;
+    retry.timeoutSeconds = 1e-3;
+    retry.maxRetries = 2;
+    HedgePolicy hedge{true, 0.1e-3};
+    RunResult r = runSharded(f, retry, hedge, 120, 2, &chaos);
+    double bound = 0.5e-3; // network + aggregation
+    for (int attempt = 0; attempt <= retry.maxRetries; ++attempt)
+        bound += retry.timeoutSeconds + retry.backoffBefore(attempt);
+    EXPECT_GT(r.completed, 0u);
+    EXPECT_GT(r.timeouts, 0u);
+    EXPECT_LE(r.latency.max(), bound);
+}
+
+TEST(Resilient, HedgeNeedsASecondCopy)
+{
+    // At R = 1 the router has no alternate, so hedging changes nothing.
+    FaultOptions f = stragglerFaults(0.25);
+    HedgePolicy on;
+    on.enabled = true;
+    RunResult r_off = runSharded(f, RetryPolicy{}, HedgePolicy{}, 60);
+    RunResult r_on = runSharded(f, RetryPolicy{}, on, 60);
+    EXPECT_EQ(r_on.hedgesIssued, 0u);
+    EXPECT_EQ(r_on.latency.samples(), r_off.latency.samples());
+    EXPECT_EQ(r_on.duration, r_off.duration);
 }
 
 TEST(Resilient, TimeoutsAreCountedAndRetried)

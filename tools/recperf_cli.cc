@@ -9,10 +9,11 @@
  *             (optionally with fault injection, admission control,
  *             and degraded-service mode; --healthy-replicas models a
  *             tier that lost replicas and must degrade earlier)
- *   shard     sharded inference under injected faults with
- *             timeout/retry and hedged requests; --replicas >= 2 adds
- *             the failover layer (health-checked replica routing,
- *             per-replica circuit breakers, recovery warm-up)
+ *   shard     sharded inference under injected faults: every shard
+ *             is a set of --replicas copies behind a health-checked
+ *             router with per-replica circuit breakers, recovery
+ *             warm-up and timeout/retry; --replicas >= 2 adds
+ *             failover and hedged requests
  *   trace     report the unique-ID fraction of a trace profile
  *   eval      execute the real tensor model (thread-pool hot path)
  *             and report measured throughput
@@ -35,7 +36,7 @@
  *   recperf serve --model rmc1 --workers 8 --rate 50000 --sla-ms 10
  *   recperf serve --rate 80000 --admission --admit-wait 0.5 \
  *                 --straggler-prob 0.05
- *   recperf shard --model rmc2 --nodes 8 --hedge --mtbf-ms 50
+ *   recperf shard --model rmc2 --nodes 8 --replicas 2 --hedge --mtbf-ms 50
  *   recperf shard --nodes 4 --replicas 2 --router p2c --hedge \
  *                 --mtbf-ms 10 --mttr-ms 1
  *   recperf trace --zipf 1.05 --repeat 0.65
@@ -193,12 +194,13 @@ constexpr FlagSpec kFlags[] = {
      "failure-model seed"},
     {"timeout-ms", kNum, "0", kShard, "", "per-shard timeout (0 = none)"},
     {"retries", kInt, "2", kShard, "", "max retries per shard request"},
-    {"hedge", kFlag, "", kShard, "",
-     "hedge slow shard requests to a replica"},
-    {"hedge-ms", kNum, "0", kShard, "", "hedge delay (0 = auto p95)",
-     "hedge"},
     {"replicas", kInt, "1", kShard, "[1,inf)",
      "replicas per shard (>= 2 enables failover)", nullptr, nullptr, 1},
+    {"hedge", kFlag, "", kShard, "",
+     "hedge slow shard requests to the router's second replica",
+     "replicas"},
+    {"hedge-ms", kNum, "0", kShard, "", "hedge delay (0 = auto p95)",
+     "hedge"},
     {"router", kChoice, "primary-first", kShard,
      "primary-first|least-loaded|p2c", "replica router", "replicas"},
     {"breaker-errors", kInt, "3", kShard, "",
@@ -898,22 +900,6 @@ printSdcSummary(const RunResult &r)
     }
 }
 
-/** Writes the fault log (--fault-log-out) and metrics of a shard run. */
-int
-finishShard(const Cli &cli, Run &run, const RunResult &r,
-            const FaultLog &log)
-{
-    const std::string &path = cli.str("fault-log-out");
-    if (!path.empty()) {
-        log.writeFile(path);
-        std::printf("  fault log:     wrote %s (%zu events)\n",
-                    path.c_str(), log.size());
-    }
-    r.exportTo(run.metrics);
-    obsEnd(cli, run);
-    return 0;
-}
-
 int
 cmdShard(const Cli &cli, Run &run)
 {
@@ -954,7 +940,8 @@ cmdShard(const Cli &cli, Run &run)
     }
     ropts.sdc = sdcFromArgs(cli);
     FaultLog fault_log;
-    if (!cli.str("fault-log-out").empty())
+    const std::string fault_log_path = cli.str("fault-log-out");
+    if (!fault_log_path.empty())
         ropts.faultLog = &fault_log;
     ropts.requestLog = run.requestLog.get();
     ropts.timeSeries = run.timeSeries.get();
@@ -968,15 +955,10 @@ cmdShard(const Cli &cli, Run &run)
                     ropts.sdc.canaryIntervalSeconds * 1e3);
     }
 
-    // With one copy per shard only the single-copy mitigations run (a
-    // hedge assumes an implicit spare replica) and `ropts.replicas`
-    // stays disengaged.
-    bool failover = replicas.replicas > 1;
+    ropts.replicas = replicas;
     ChaosSchedule chaos;
     auto chaos_events = static_cast<uint32_t>(cli.i64("chaos-events"));
-    if (failover)
-        ropts.replicas = replicas;
-    if (failover && chaos_events > 0) {
+    if (chaos_events > 0) {
         // Horizon heuristic: virtual time advances by roughly one
         // per-inference latency per iteration; scale from the SLA-ish
         // chaos window length instead of pre-timing the model.
@@ -988,41 +970,50 @@ cmdShard(const Cli &cli, Run &run)
     }
 
     RunResult r = sim.run(ropts);
-    if (!failover) {
-        printResilientResult(r);
-        printSdcSummary(r);
-        return finishShard(cli, run, r, fault_log);
+    // The replica layer's lines print once it has something to say: a
+    // second copy to route to, or a router that acted on a single one.
+    bool layer = replicas.replicas > 1 || r.breakerOpens > 0 ||
+        r.breakerRejects > 0 || r.replicaSkips > 0;
+    if (layer) {
+        std::printf("  failover layer: %u replicas/shard, router %s, "
+                    "breaker %d errors -> open %.1f ms, warm-up %.2fx "
+                    "over %.1f ms%s\n", replicas.replicas,
+                    routerPolicyName(replicas.router),
+                    replicas.breaker.errorThreshold,
+                    replicas.breaker.openSeconds * 1e3,
+                    r.warmupFactorUsed, replicas.warmupSeconds * 1e3,
+                    chaos_events > 0
+                        ? strprintf(", %u chaos windows", chaos_events)
+                              .c_str()
+                        : "");
     }
-
-    std::printf("  failover layer: %u replicas/shard, router %s, "
-                "breaker %d errors -> open %.1f ms, warm-up %.2fx over "
-                "%.1f ms%s\n", replicas.replicas,
-                routerPolicyName(replicas.router),
-                replicas.breaker.errorThreshold,
-                replicas.breaker.openSeconds * 1e3, r.warmupFactorUsed,
-                replicas.warmupSeconds * 1e3,
-                chaos_events > 0
-                    ? strprintf(", %u chaos windows", chaos_events)
-                        .c_str()
-                    : "");
     printResilientResult(r);
-    std::printf("  failovers:     %10llu served by a backup replica\n",
-                static_cast<unsigned long long>(r.failovers));
-    if (r.replicaSkips) {
-        std::printf("  replica skips: %10llu EWMA over the remaining "
-                    "deadline budget\n",
-                    static_cast<unsigned long long>(r.replicaSkips));
+    if (layer) {
+        std::printf("  failovers:     %10llu served by a backup replica\n",
+                    static_cast<unsigned long long>(r.failovers));
+        if (r.replicaSkips) {
+            std::printf("  replica skips: %10llu EWMA over the remaining "
+                        "deadline budget\n",
+                        static_cast<unsigned long long>(r.replicaSkips));
+        }
+        std::printf("  breakers:      %10llu opened, %llu re-closed, %llu "
+                    "probes, %llu all-open rejects\n",
+                    static_cast<unsigned long long>(r.breakerOpens),
+                    static_cast<unsigned long long>(r.breakerCloses),
+                    static_cast<unsigned long long>(r.probesAdmitted),
+                    static_cast<unsigned long long>(r.breakerRejects));
+        std::printf("  warm-up cost:  %10.3f ms re-filling recovered "
+                    "replicas' caches\n", r.warmupPenaltySeconds * 1e3);
     }
-    std::printf("  breakers:      %10llu opened, %llu re-closed, %llu "
-                "probes, %llu all-open rejects\n",
-                static_cast<unsigned long long>(r.breakerOpens),
-                static_cast<unsigned long long>(r.breakerCloses),
-                static_cast<unsigned long long>(r.probesAdmitted),
-                static_cast<unsigned long long>(r.breakerRejects));
-    std::printf("  warm-up cost:  %10.3f ms re-filling recovered "
-                "replicas' caches\n", r.warmupPenaltySeconds * 1e3);
     printSdcSummary(r);
-    return finishShard(cli, run, r, fault_log);
+    if (!fault_log_path.empty()) {
+        fault_log.writeFile(fault_log_path);
+        std::printf("  fault log:     wrote %s (%zu events)\n",
+                    fault_log_path.c_str(), fault_log.size());
+    }
+    r.exportTo(run.metrics);
+    obsEnd(cli, run);
+    return 0;
 }
 
 int
