@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "machine/simd.hh"
+#include "obs/json.hh"
 #include "ops/kernel_cache.hh"
 
 namespace recperf {
@@ -57,7 +58,7 @@ class JsonObject
   public:
     JsonObject &add(const std::string &key, const std::string &value)
     {
-        return raw(key, '"' + escape(value) + '"');
+        return raw(key, '"' + obs::jsonEscape(value) + '"');
     }
     JsonObject &add(const std::string &key, const char *value)
     {
@@ -104,23 +105,6 @@ class JsonObject
     }
 
   private:
-    static std::string escape(const std::string &s)
-    {
-        std::string out;
-        for (char c : s) {
-            if (c == '"' || c == '\\')
-                out += '\\';
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-                continue;
-            }
-            out += c;
-        }
-        return out;
-    }
-
     JsonObject &raw(const std::string &key, std::string rendered)
     {
         fields_.emplace_back(key, std::move(rendered));

@@ -3,9 +3,10 @@
 # repo root so the perf trajectory is tracked in-tree:
 #
 #  - BENCH_parallel_ops.json: thread-scaling of the parallel engine
-#  - BENCH_kernel_tuning.json: the fixed-plan microkernels per ISA
-#    tier (scalar baseline, pinned vector tiers, auto) across the
-#    GEMM/SLS/crossover/eval suites; stamps detected ISA
+#  - BENCH_isa_tiers.json: the fixed kernel plan of each ISA tier
+#    (scalar baseline, pinned vector tiers, auto) across the
+#    GEMM/SLS/crossover/eval suites; kernel rows on one thread, each
+#    the median of 5 repeats; stamps detected ISA and host steal
 #  - BENCH_failover.json: availability + p99 vs replica count under
 #    injected shard failures (MTBF = 10x MTTR)
 #  - BENCH_brownout.json: goodput + served p99 under 1.5x overload
@@ -29,15 +30,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cmake -B build
-cmake --build build --target micro_parallel_ops micro_kernel_tuning \
+cmake --build build --target micro_parallel_ops micro_isa_tiers \
     study_failover study_brownout study_sdc study_backend \
     fig11_tail_latency
 
 ./build/bench/micro_parallel_ops --out BENCH_parallel_ops.json "$@"
 echo "wrote $(pwd)/BENCH_parallel_ops.json"
 
-./build/bench/micro_kernel_tuning --out BENCH_kernel_tuning.json
-echo "wrote $(pwd)/BENCH_kernel_tuning.json"
+./build/bench/micro_isa_tiers --out BENCH_isa_tiers.json
+echo "wrote $(pwd)/BENCH_isa_tiers.json"
 
 ./build/bench/study_failover --out BENCH_failover.json
 echo "wrote $(pwd)/BENCH_failover.json"

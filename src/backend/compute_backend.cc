@@ -3,7 +3,6 @@
 #include "backend/cpu_backend.hh"
 #include "backend/nmp_backend.hh"
 #include "core/logging.hh"
-#include "ops/microkernels.hh"
 
 namespace recperf {
 
@@ -85,20 +84,12 @@ NmpConfig::validate() const
 
 std::string
 backendConfigFromSpec(const std::string &backend_name,
-                      const std::string &isa_name, BackendConfig *out)
+                      BackendConfig *out)
 {
     BackendConfig config;
     if (!backendKindFromName(backend_name, &config.kind)) {
         return "unknown backend '" + backend_name +
             "' (expected cpu|nmp)";
-    }
-    std::string err = isaPolicyFromName(isa_name, &config.isa);
-    if (!err.empty())
-        return err;
-    if (!config.isa.autoSelect &&
-        !microkernels::kernelsFor(config.isa.pinned).available) {
-        return "ISA tier '" + isa_name +
-            "' was not compiled into this binary";
     }
     if (out)
         *out = config;

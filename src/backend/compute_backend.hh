@@ -41,7 +41,6 @@
 
 #include "core/rng.hh"
 #include "machine/machine_spec.hh"
-#include "machine/simd.hh"
 #include "model/config.hh"
 #include "timing/op_timing.hh"
 #include "trace/id_generator.hh"
@@ -113,26 +112,23 @@ struct NmpConfig
 };
 
 /**
- * One validated backend selection: which backend family plus the CPU
- * kernel ISA policy the caller pins in KernelCache (the NMP backend
- * still runs FC/interaction on the host, so the ISA applies to both).
+ * One validated backend selection: which backend family times the
+ * model, and the NMP knobs when it is near-memory. The kernel ISA is
+ * not part of it: that is a KernelCache setting of the functional
+ * plane, which no timing backend reads.
  */
 struct BackendConfig
 {
     BackendKind kind = BackendKind::Cpu;
-    IsaPolicy isa;
     NmpConfig nmp;
 };
 
 /**
- * Parse and validate "--backend=<name> --isa=<tier>" as one backend
- * spec. Returns "" and fills @p out on success, else a message naming
- * the bad component (callers exit 2 up front, before any kernel
- * runs). The ISA is validated against the tiers compiled into this
- * binary, exactly like the historical --isa flag.
+ * Parse "--backend=<name>" into a backend config with default NMP
+ * knobs. Returns "" and fills @p out on success, else a message naming
+ * the bad name (callers exit 2 up front, before any kernel runs).
  */
 std::string backendConfigFromSpec(const std::string &backend_name,
-                                  const std::string &isa_name,
                                   BackendConfig *out);
 
 /**

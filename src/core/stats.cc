@@ -8,61 +8,6 @@
 
 namespace recperf {
 
-void
-RunningStat::add(double x)
-{
-    if (count_ == 0) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++count_;
-    double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
-}
-
-void
-RunningStat::merge(const RunningStat &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    double delta = other.mean_ - mean_;
-    size_t total = count_ + other.count_;
-    double na = static_cast<double>(count_);
-    double nb = static_cast<double>(other.count_);
-    mean_ += delta * nb / static_cast<double>(total);
-    m2_ += other.m2_ + delta * delta * na * nb / static_cast<double>(total);
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    count_ = total;
-}
-
-void
-RunningStat::reset()
-{
-    *this = RunningStat();
-}
-
-double
-RunningStat::variance() const
-{
-    if (count_ < 2)
-        return 0.0;
-    return m2_ / static_cast<double>(count_ - 1);
-}
-
-double
-RunningStat::stddev() const
-{
-    return std::sqrt(variance());
-}
-
 double
 percentile(std::vector<double> samples, double pct)
 {
@@ -99,51 +44,6 @@ LatencySample::max() const
 {
     RP_ASSERT(!samples_.empty(), "max of empty sample set");
     return *std::max_element(samples_.begin(), samples_.end());
-}
-
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0)
-{
-    RP_ASSERT(hi > lo, "histogram range [%f, %f) is empty", lo, hi);
-    RP_ASSERT(buckets > 0, "histogram needs at least one bucket");
-}
-
-void
-Histogram::add(double x)
-{
-    double frac = (x - lo_) / (hi_ - lo_);
-    auto idx = static_cast<long>(frac * static_cast<double>(counts_.size()));
-    idx = std::clamp<long>(idx, 0, static_cast<long>(counts_.size()) - 1);
-    ++counts_[static_cast<size_t>(idx)];
-    ++count_;
-}
-
-double
-Histogram::bucketLow(size_t i) const
-{
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-        static_cast<double>(counts_.size());
-}
-
-std::string
-Histogram::render(size_t max_width) const
-{
-    size_t peak = 0;
-    for (size_t c : counts_)
-        peak = std::max(peak, c);
-    if (peak == 0)
-        return "<empty histogram>\n";
-
-    std::string out;
-    for (size_t i = 0; i < counts_.size(); ++i) {
-        if (counts_[i] == 0)
-            continue;
-        size_t width = std::max<size_t>(1, counts_[i] * max_width / peak);
-        out += strprintf("%10.4g..%-10.4g |%s %zu\n", bucketLow(i),
-                         bucketHigh(i),
-                         std::string(width, '#').c_str(), counts_[i]);
-    }
-    return out;
 }
 
 } // namespace recperf

@@ -1,6 +1,6 @@
 /**
  * @file
- * Statistics helpers: streaming moments, percentiles, and histograms.
+ * Statistics helpers: exact percentiles over retained samples.
  *
  * Used throughout the timing and serving layers to report latency
  * distributions (mean, p5, p50, p99) in the same form the paper does.
@@ -10,36 +10,9 @@
 #define RECPERF_CORE_STATS_HH
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace recperf {
-
-/**
- * Streaming mean / variance / min / max via Welford's algorithm.
- * O(1) memory; exact first two moments.
- */
-class RunningStat
-{
-  public:
-    void add(double x);
-    void merge(const RunningStat &other);
-    void reset();
-
-    size_t count() const { return count_; }
-    double mean() const { return count_ ? mean_ : 0.0; }
-    double variance() const;
-    double stddev() const;
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-
-  private:
-    size_t count_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 /**
  * Exact percentile over a sample vector using linear interpolation
@@ -78,32 +51,6 @@ class LatencySample
 
   private:
     std::vector<double> samples_;
-};
-
-/**
- * Fixed-width histogram over [lo, hi); out-of-range samples clamp into
- * the end buckets. Used for operator-latency distribution plots (Fig 11a).
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, size_t buckets);
-
-    void add(double x);
-    size_t count() const { return count_; }
-    size_t bucketCount() const { return counts_.size(); }
-    size_t bucketHits(size_t i) const { return counts_.at(i); }
-    double bucketLow(size_t i) const;
-    double bucketHigh(size_t i) const { return bucketLow(i + 1); }
-
-    /** Render an ASCII bar chart, one line per non-empty bucket. */
-    std::string render(size_t max_width = 50) const;
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<size_t> counts_;
-    size_t count_ = 0;
 };
 
 } // namespace recperf

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "core/aligned.hh"
-#include "core/cancellation.hh"
 #include "core/logging.hh"
 #include "core/rng.hh"
 #include "core/thread_pool.hh"
@@ -71,20 +70,16 @@ struct LookupTask
 {
     const std::vector<EmbeddingTable> &tables;
     const std::vector<SparseInput> &sparse;
-    const CancelToken *cancel;
     float *cat;     ///< concat buffer, row stride ld
     int64_t col0;   ///< first column of table 0's slice
     int64_t ld;
 
-    bool
+    void
     run(int64_t t) const
     {
-        if (cancel && cancel->cancelled())
-            return false;
         const size_t i = static_cast<size_t>(t);
         tables[i].forwardInto(sparse[i].ids, sparse[i].lengths,
                               cat + col0 + t * tables[i].dim(), ld);
-        return true;
     }
 };
 
@@ -101,12 +96,8 @@ copyRows(const float *src, int64_t lds, float *dst, int64_t ldd,
 } // namespace
 
 Tensor
-RecModel::forward(const ModelInput &input,
-                  const CancelToken *cancel) const
+RecModel::forward(const ModelInput &input) const
 {
-    if (cancel && cancel->cancelled())
-        return Tensor{};
-
     int64_t batch = 0;
     if (!bottom_.empty()) {
         RP_ASSERT(input.dense.rank() == 2 &&
@@ -135,8 +126,8 @@ RecModel::forward(const ModelInput &input,
 
     // Layer outputs alternate between the two activation buffers; the
     // features are concatenated in `cat`. Every layer writes its whole
-    // output, so stale contents from an earlier (or cancelled) forward
-    // are never read.
+    // output, so stale contents from an earlier forward (at any batch
+    // size) are never read.
     thread_local ForwardArena arena;
     float *act[2] = {ForwardArena::reserve(arena.act[0], batch * actWidth_),
                      ForwardArena::reserve(arena.act[1], batch * actWidth_)};
@@ -160,26 +151,19 @@ RecModel::forward(const ModelInput &input,
     // identifies as the memory-bound hot path). Each table's pooled
     // gather runs the serial kernel inline and writes its column slice
     // of `cat`, so outputs match the sequential loop bitwise.
-    const LookupTask lookups{tables_, input.sparse, cancel,
-                             cat,     bottom_dim,   catWidth_};
+    const LookupTask lookups{tables_, input.sparse, cat, bottom_dim,
+                             catWidth_};
     if (num_tables >= globalThreadCount()) {
-        // Each worker polls the token per table; tables already pooled
-        // keep their results, tables not yet started are skipped, and
-        // the whole forward reports cancelled below.
         parallelFor(0, num_tables, 1, [&lookups](int64_t lo, int64_t hi) {
-            for (int64_t t = lo; t < hi && lookups.run(t); ++t) {
-            }
+            for (int64_t t = lo; t < hi; ++t)
+                lookups.run(t);
         });
     } else {
         // Fewer tables than threads: run tables sequentially and let
         // each lookup parallelize across its output slots instead.
-        for (int64_t t = 0; t < num_tables; ++t) {
-            if (!lookups.run(t))
-                return Tensor{};
-        }
+        for (int64_t t = 0; t < num_tables; ++t)
+            lookups.run(t);
     }
-    if (cancel && cancel->cancelled())
-        return Tensor{};
 
     const float *z = cat;
     int64_t zw = catWidth_;

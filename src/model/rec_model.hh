@@ -20,7 +20,6 @@
 
 namespace recperf {
 
-class CancelToken;
 class Rng;
 
 /** Sparse IDs for one embedding table across a batch. */
@@ -57,18 +56,9 @@ class RecModel
     /**
      * Predict CTRs for a batch.
      *
-     * @param cancel optional cooperative cancellation token, polled at
-     *        per-op granularity (before the bottom MLP, before each
-     *        embedding-table lookup of the SLS fan-out, and before the
-     *        interaction/top MLP). When it fires, the remaining work
-     *        is abandoned and an *empty* tensor is returned — callers
-     *        serving with deadlines must check `cancel->cancelled()`
-     *        (or the result's numel()) before using the output.
-     * @return tensor of shape [batch, 1] with values in (0, 1), or an
-     *        empty tensor when cancelled mid-flight.
+     * @return tensor of shape [batch, 1] with values in (0, 1).
      */
-    Tensor forward(const ModelInput &input,
-                   const CancelToken *cancel = nullptr) const;
+    Tensor forward(const ModelInput &input) const;
 
     /** Draw a random, well-formed input batch for this model. */
     ModelInput randomInput(int64_t batch, Rng &rng) const;

@@ -316,19 +316,11 @@ ShardedInference::run(const RunOptions &options)
         uint64_t rl_breaker = 0;
         bool rl_clamped = false;
         double rl_offload = 0.0;
-        // Each inference carries its own budget (anchored at issue
-        // time) and cancellation token; once any shard gives up on the
-        // deadline, the token stops the remaining fan-out.
-        CancelToken inference_token;
-        DeadlineCtx ctx{Deadline{now, options.deadlineSeconds},
-                        fresh_p50, &inference_token, options.cancel};
+        // Each inference carries its own budget, anchored at issue
+        // time; once any shard gives up on the deadline, the remaining
+        // shards are never queried.
+        const Deadline deadline{now, options.deadlineSeconds};
         for (uint32_t s = 0; s < numNodes(); ++s) {
-            if (ctx.cancelled()) {
-                // Cooperative cancellation mid-fan-out: the remaining
-                // shards are never queried.
-                cancelled = true;
-                break;
-            }
             ModelTiming shard_timing = shard_timers_[s]->run();
             double base = shard_timing.secondsByKind(OpKind::SLS);
             // The fault-free shard time, before the scrub slowdown:
@@ -342,8 +334,8 @@ ShardedInference::run(const RunOptions &options)
             }
             ShardOutcome out = resolveReplicated(
                 injector, sets[s], options.retry, options.hedge,
-                hedge_delay, s, base, now, options.chaos, ctx, sdc.get(),
-                &result);
+                hedge_delay, s, base, now, options.chaos, deadline,
+                fresh_p50, sdc.get(), &result);
             double verify = 0.0;
             if (out.ok && sdc) {
                 // Model the rows this batch touched on the serving
@@ -427,8 +419,8 @@ ShardedInference::run(const RunOptions &options)
             if (sdc)
                 sdc->dropInference();
             ++result.deadlineExpired;
-            double consumed = ctx.deadline.enabled()
-                ? std::min(elapsed_max, ctx.deadline.budgetSeconds)
+            double consumed = deadline.enabled()
+                ? std::min(elapsed_max, deadline.budgetSeconds)
                 : elapsed_max;
             result.wastedSeconds += elapsed_max;
             if (tracer.enabled()) {
@@ -612,11 +604,11 @@ ShardedInference::resolveReplicated(FaultInjector &injector,
                                     double hedge_delay, uint32_t shard,
                                     double base_seconds, double now,
                                     const ChaosSchedule *chaos,
-                                    const DeadlineCtx &ctx,
+                                    const Deadline &dl,
+                                    double fresh_p50,
                                     const SdcController *sdc,
                                     RunResult *result)
 {
-    const Deadline &dl = ctx.deadline;
     // Replica r of shard s runs failure process s*R + r; scripted chaos
     // windows override the renewal process, and a replica drained for
     // SDC rehydration counts as down so requests fail over. Every
@@ -651,14 +643,11 @@ ShardedInference::resolveReplicated(FaultInjector &injector,
     };
     for (int attempt = 0; attempt < max_attempts; ++attempt) {
         double t_start = now + waited;
-        if (ctx.cancelled() || dl.expired(t_start)) {
-            ctx.cancel();
+        if (dl.expired(t_start))
             return abandoned(true);
-        }
         double remaining = dl.remaining(t_start);
-        if (dl.enabled() && remaining < ctx.freshP50) {
+        if (dl.enabled() && remaining < fresh_p50) {
             ++result->deadlineFastFails;
-            ctx.cancel();
             return abandoned(true);
         }
         double timeout = dl.clampTimeout(retry.timeoutSeconds, t_start);
@@ -680,10 +669,8 @@ ShardedInference::resolveReplicated(FaultInjector &injector,
             };
             if (!fits(pick.replica)) {
                 ++result->replicaSkips;
-                if (pick.alternate < 0 || !fits(pick.alternate)) {
-                    ctx.cancel();
+                if (pick.alternate < 0 || !fits(pick.alternate))
                     return abandoned(true);
-                }
                 std::swap(pick.replica, pick.alternate);
             }
         }

@@ -18,7 +18,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/cancellation.hh"
 #include "core/stats.hh"
 #include "obs/metrics.hh"
 #include "resilience/deadline.hh"
@@ -90,15 +89,6 @@ struct RunOptions
     double deadlineSeconds = 0.0;
 
     /**
-     * Optional external cancellation token, polled before every shard
-     * attempt; once it fires, in-flight and subsequent inferences are
-     * abandoned and counted as deadlineExpired, keeping
-     * completed + failed + deadlineExpired == measureIters exact.
-     * Not owned; may be null.
-     */
-    const CancelToken *cancel = nullptr;
-
-    /**
      * The silent-data-corruption defense ladder (scrubbing, inline
      * sampled verification, output guards, canaries, quarantine and
      * repair). A controller is engaged when faults.corruption injects
@@ -141,9 +131,9 @@ struct RunResult
     /** Inferences abandoned after retry exhaustion on some shard. */
     uint64_t failed = 0;
 
-    /** Inferences cancelled because the deadline budget expired (or a
-     *  cancellation token fired) mid-fan-out — counted as
-     *  deadline-shed, never as late completions. */
+    /** Inferences cancelled because the deadline budget expired
+     *  mid-fan-out — counted as deadline-shed, never as late
+     *  completions. */
     uint64_t deadlineExpired = 0;
 
     /** Attempts skipped outright because the remaining budget could
@@ -288,8 +278,7 @@ class ShardedInference
     {
         double elapsed = 0.0;
         bool ok = false;
-        /** Abandoned by deadline/cancellation, not by retry
-         *  exhaustion. */
+        /** Abandoned by the deadline, not by retry exhaustion. */
         bool cancelled = false;
         /** Replica that served the winning attempt. */
         uint32_t replica = 0;
@@ -312,32 +301,11 @@ class ShardedInference
     };
 
     /**
-     * Deadline context threaded through one inference's fan-out: the
-     * budget anchored at the inference's issue time, the calibrated
-     * p50 of a fresh attempt, the inference-local cancellation token
-     * (set once any shard gives up, so sibling shards stop too), and
-     * the caller's external token.
+     * Resolve one shard of an inference. `deadline` is the inference's
+     * budget, anchored at its issue time; `fresh_p50` is the calibrated
+     * p50 of a fresh attempt, below which the remaining budget fails
+     * fast.
      */
-    struct DeadlineCtx
-    {
-        Deadline deadline;
-        double freshP50 = 0.0;
-        CancelToken *token = nullptr;
-        const CancelToken *external = nullptr;
-
-        bool cancelled() const
-        {
-            return (token && token->cancelled()) ||
-                (external && external->cancelled());
-        }
-
-        void cancel() const
-        {
-            if (token)
-                token->cancel();
-        }
-    };
-
     ShardOutcome resolveReplicated(FaultInjector &injector,
                                    ReplicaSet &set,
                                    const RetryPolicy &retry,
@@ -345,7 +313,8 @@ class ShardedInference
                                    double hedge_delay, uint32_t shard,
                                    double base_seconds, double now,
                                    const ChaosSchedule *chaos,
-                                   const DeadlineCtx &ctx,
+                                   const Deadline &deadline,
+                                   double fresh_p50,
                                    const SdcController *sdc,
                                    RunResult *result);
 

@@ -499,15 +499,6 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items,
     double last_finish = 0.0;
     double last_assembly_end = 0.0;
     while (next < arrivals.size()) {
-        // Cooperative cancellation of the whole run: stop between
-        // batches, never admitting the remaining arrivals. Counters
-        // stay exact because those items are not counted as offered.
-        if (cancel_ && cancel_->cancelled()) {
-            if (tracer.enabled())
-                tracer.instant("deadline", "run_cancelled", last_finish,
-                               0);
-            break;
-        }
         auto [t_free, w] = free_at.top();
         free_at.pop();
 
@@ -722,9 +713,8 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items,
             double arrival = batch_arrivals[i];
             double latency = finish - arrival;
             if (deadline_on && latency > deadline_budget) {
-                // The cancellation token fired mid-batch for this
-                // item: the batch finished past its deadline, so its
-                // answer is abandoned, not delivered late.
+                // The batch finished past this item's deadline, so
+                // its answer is abandoned, not delivered late.
                 ++stats.deadlineCancelled;
                 if (tracer.enabled()) {
                     tracer.instant("deadline", "cancelled", finish,

@@ -21,7 +21,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/cancellation.hh"
 #include "core/stats.hh"
 #include "obs/metrics.hh"
 #include "resilience/fault_injector.hh"
@@ -216,15 +215,6 @@ class Server
                              obs::TimeSeriesSampler *time_series = nullptr);
 
     /**
-     * Install a cooperative cancellation token checked at batch
-     * granularity inside runOpenLoop: once it fires, the run stops
-     * after the in-flight batch and the not-yet-offered arrivals are
-     * simply never admitted, so the returned accounting stays exact
-     * (served + shed + cancelled == offered). Null detaches.
-     */
-    void setCancelToken(const CancelToken *cancel) { cancel_ = cancel; }
-
-    /**
      * Closed-loop run: workers always have a full batch ready
      * (saturation throughput measurement).
      */
@@ -250,8 +240,6 @@ class Server
     Rng priority_rng_;
     /** Present when the failure model is active. */
     std::unique_ptr<FaultInjector> injector_;
-    /** External cooperative cancellation; not owned. */
-    const CancelToken *cancel_ = nullptr;
     /** Warm-up-calibrated full-batch service estimate (seconds). */
     double warmServiceEstimate_ = 0.0;
 };

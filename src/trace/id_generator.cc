@@ -129,25 +129,6 @@ RepeatGen::next()
     return id;
 }
 
-TraceReplayGen::TraceReplayGen(std::vector<int64_t> ids, int64_t rows)
-    : ids_(std::move(ids)), rows_(rows)
-{
-    RP_ASSERT(!ids_.empty(), "replay trace is empty");
-    for (int64_t id : ids_) {
-        RP_ASSERT(id >= 0 && id < rows_,
-                  "trace ID %lld out of table rows %lld",
-                  static_cast<long long>(id), static_cast<long long>(rows_));
-    }
-}
-
-int64_t
-TraceReplayGen::next()
-{
-    int64_t id = ids_[pos_];
-    pos_ = (pos_ + 1) % ids_.size();
-    return id;
-}
-
 double
 uniqueFraction(const std::vector<int64_t> &trace)
 {

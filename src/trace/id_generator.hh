@@ -11,8 +11,7 @@
  *  - UniformGen: uniform random rows (the "random" bar of Fig 14);
  *  - ZipfGen: power-law popularity, the classic recommendation skew;
  *  - RepeatGen: wraps any generator and re-issues recently-seen IDs
- *    with probability p, directly dialing the unique-ID fraction;
- *  - TraceReplayGen: loops over a fixed, recorded ID sequence.
+ *    with probability p, directly dialing the unique-ID fraction.
  */
 
 #ifndef RECPERF_TRACE_ID_GENERATOR_HH
@@ -123,25 +122,6 @@ class RepeatGen : public IdGenerator
      */
     std::vector<int64_t> history_;
     size_t head_ = 0;
-};
-
-/** Replays a fixed, recorded trace in a loop. */
-class TraceReplayGen : public IdGenerator
-{
-  public:
-    /**
-     * @param ids recorded trace (must be non-empty).
-     * @param rows table size; all IDs must be < rows.
-     */
-    TraceReplayGen(std::vector<int64_t> ids, int64_t rows);
-
-    int64_t next() override;
-    int64_t rows() const override { return rows_; }
-
-  private:
-    std::vector<int64_t> ids_;
-    int64_t rows_;
-    size_t pos_ = 0;
 };
 
 /** Fraction of distinct values in a trace (the Fig 14 y-axis). */

@@ -316,19 +316,15 @@ TEST(NmpConfigValidate, RejectsBadKnobs)
 TEST(BackendSpec, ParsesAndValidatesAsOneUnit)
 {
     BackendConfig out;
-    // Empty components mean defaults: cpu + auto ISA.
-    EXPECT_EQ(backendConfigFromSpec("", "", &out), "");
+    // An empty name means the default: cpu.
+    EXPECT_EQ(backendConfigFromSpec("", &out), "");
     EXPECT_EQ(out.kind, BackendKind::Cpu);
-    EXPECT_TRUE(out.isa.autoSelect);
 
-    EXPECT_EQ(backendConfigFromSpec("nmp", "scalar", &out), "");
+    EXPECT_EQ(backendConfigFromSpec("nmp", &out), "");
     EXPECT_EQ(out.kind, BackendKind::Nmp);
-    EXPECT_FALSE(out.isa.autoSelect);
-    EXPECT_EQ(out.isa.pinned, KernelIsa::Scalar);
 
-    std::string err = backendConfigFromSpec("bogus", "", &out);
+    std::string err = backendConfigFromSpec("bogus", &out);
     EXPECT_NE(err.find("unknown backend"), std::string::npos) << err;
-    EXPECT_NE(backendConfigFromSpec("cpu", "bogus", &out), "");
 }
 
 } // namespace

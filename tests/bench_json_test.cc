@@ -91,9 +91,10 @@ TEST(BenchJson, NumbersUseShortestRoundTrip)
 TEST(BenchJson, ControlCharactersAreEscaped)
 {
     bench::JsonObject obj;
-    obj.add("s", std::string("a\nb"));
+    obj.add("s", std::string("a\nb\x01\"c\\"));
     std::string out = obj.render(0);
-    EXPECT_NE(out.find("\\u000a"), std::string::npos) << out;
+    EXPECT_NE(out.find("\"a\\nb\\u0001\\\"c\\\\\""), std::string::npos)
+        << out;
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for statistics helpers (RunningStat, percentile, Histogram).
+ * Unit tests for statistics helpers (percentile, LatencySample).
  */
 
 #include <gtest/gtest.h>
@@ -13,81 +13,6 @@
 
 namespace recperf {
 namespace {
-
-TEST(RunningStat, EmptyIsZero)
-{
-    RunningStat s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.variance(), 0.0);
-    EXPECT_EQ(s.stddev(), 0.0);
-}
-
-TEST(RunningStat, SingleValue)
-{
-    RunningStat s;
-    s.add(5.0);
-    EXPECT_EQ(s.count(), 1u);
-    EXPECT_EQ(s.mean(), 5.0);
-    EXPECT_EQ(s.variance(), 0.0);
-    EXPECT_EQ(s.min(), 5.0);
-    EXPECT_EQ(s.max(), 5.0);
-}
-
-TEST(RunningStat, MatchesNaiveComputation)
-{
-    Rng rng(1);
-    std::vector<double> xs;
-    RunningStat s;
-    for (int i = 0; i < 1000; ++i) {
-        double x = rng.nextGaussian() * 3.0 + 10.0;
-        xs.push_back(x);
-        s.add(x);
-    }
-    double mean = 0.0;
-    for (double x : xs)
-        mean += x;
-    mean /= xs.size();
-    double var = 0.0;
-    for (double x : xs)
-        var += (x - mean) * (x - mean);
-    var /= (xs.size() - 1);
-
-    EXPECT_NEAR(s.mean(), mean, 1e-9);
-    EXPECT_NEAR(s.variance(), var, 1e-6);
-}
-
-TEST(RunningStat, MergeEqualsSequential)
-{
-    Rng rng(2);
-    RunningStat all, a, b;
-    for (int i = 0; i < 500; ++i) {
-        double x = rng.nextDouble() * 100.0;
-        all.add(x);
-        (i % 2 ? a : b).add(x);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-    EXPECT_EQ(a.min(), all.min());
-    EXPECT_EQ(a.max(), all.max());
-}
-
-TEST(RunningStat, MergeWithEmpty)
-{
-    RunningStat a, b;
-    a.add(1.0);
-    a.add(2.0);
-    RunningStat before = a;
-    a.merge(b);
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_EQ(a.mean(), before.mean());
-
-    b.merge(a);
-    EXPECT_EQ(b.count(), 2u);
-    EXPECT_NEAR(b.mean(), 1.5, 1e-12);
-}
 
 TEST(Percentile, KnownValues)
 {
@@ -156,52 +81,6 @@ TEST(LatencySample, ClearResets)
     s.clear();
     EXPECT_TRUE(s.empty());
     EXPECT_EQ(s.mean(), 0.0);
-}
-
-TEST(Histogram, BucketsAndClamping)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);   // bucket 0
-    h.add(9.5);   // bucket 9
-    h.add(-5.0);  // clamps to 0
-    h.add(50.0);  // clamps to 9
-    h.add(5.0);   // bucket 5
-    EXPECT_EQ(h.count(), 5u);
-    EXPECT_EQ(h.bucketHits(0), 2u);
-    EXPECT_EQ(h.bucketHits(9), 2u);
-    EXPECT_EQ(h.bucketHits(5), 1u);
-    EXPECT_EQ(h.bucketHits(3), 0u);
-}
-
-TEST(Histogram, BucketBounds)
-{
-    Histogram h(0.0, 100.0, 4);
-    EXPECT_EQ(h.bucketLow(0), 0.0);
-    EXPECT_EQ(h.bucketLow(2), 50.0);
-    EXPECT_EQ(h.bucketHigh(3), 100.0);
-}
-
-TEST(Histogram, InvalidConfigPanics)
-{
-    EXPECT_THROW(Histogram(1.0, 1.0, 4), PanicError);
-    EXPECT_THROW(Histogram(0.0, 1.0, 0), PanicError);
-}
-
-TEST(Histogram, RenderContainsCounts)
-{
-    Histogram h(0.0, 1.0, 2);
-    h.add(0.25);
-    h.add(0.75);
-    h.add(0.80);
-    std::string out = h.render();
-    EXPECT_NE(out.find('#'), std::string::npos);
-    EXPECT_NE(out.find('2'), std::string::npos);
-}
-
-TEST(Histogram, RenderEmpty)
-{
-    Histogram h(0.0, 1.0, 4);
-    EXPECT_NE(h.render().find("empty"), std::string::npos);
 }
 
 } // namespace

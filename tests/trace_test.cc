@@ -230,23 +230,6 @@ TEST(TraceProfiles, SpanFig14Range)
         EXPECT_LT(fractions[i], fractions[i - 1] + 0.05) << "profile " << i;
 }
 
-TEST(TraceReplay, CyclesThroughTrace)
-{
-    TraceReplayGen gen({1, 2, 3}, 10);
-    EXPECT_EQ(gen.next(), 1);
-    EXPECT_EQ(gen.next(), 2);
-    EXPECT_EQ(gen.next(), 3);
-    EXPECT_EQ(gen.next(), 1);
-    EXPECT_EQ(gen.rows(), 10);
-}
-
-TEST(TraceReplay, ValidatesIds)
-{
-    EXPECT_THROW(TraceReplayGen({}, 10), PanicError);
-    EXPECT_THROW(TraceReplayGen({10}, 10), PanicError);
-    EXPECT_THROW(TraceReplayGen({-1}, 10), PanicError);
-}
-
 TEST(IdGenerator, DrawReturnsRequestedCount)
 {
     UniformGen gen(100, Rng(19));

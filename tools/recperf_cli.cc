@@ -1388,19 +1388,25 @@ helpText(unsigned command)
 }
 
 /**
- * Resolves --backend and --isa (flag > env > default for each) and the
- * nmp knobs into one validated backend spec in @p out, and pins its
- * ISA in the kernel cache before any kernel runs; returns the message
- * when the spec is unusable.
+ * Resolves --backend and the nmp knobs into one validated backend spec
+ * in @p out, and pins --isa in the kernel cache before any kernel runs
+ * (flag > env > default for each); returns the message when either is
+ * unusable.
  */
 std::string
 configureBackend(const Cli &cli, BackendConfig *out)
 {
     BackendConfig backend;
-    std::string err =
-        backendConfigFromSpec(cli.str("backend"), cli.str("isa"), &backend);
+    std::string err = backendConfigFromSpec(cli.str("backend"), &backend);
     if (!err.empty())
-        return "--backend/--isa: " + err;
+        return "--backend: " + err;
+    const std::string isa_name = cli.str("isa");
+    IsaPolicy isa;
+    if (!(err = isaPolicyFromName(isa_name, &isa)).empty())
+        return "--isa: " + err;
+    if (!isa.autoSelect && !microkernels::kernelsFor(isa.pinned).available)
+        return "--isa: ISA tier '" + isa_name +
+            "' was not compiled into this binary";
     if (backend.kind == BackendKind::Nmp) {
         NmpConfig &nmp = backend.nmp;
         nmp.ranks = static_cast<uint32_t>(cli.i64("nmp-ranks"));
@@ -1416,7 +1422,7 @@ configureBackend(const Cli &cli, BackendConfig *out)
         if (!(err = nmp.validate()).empty())
             return "--backend=nmp: " + err;
     }
-    KernelCache::global().setPolicy(backend.isa);
+    KernelCache::global().setPolicy(isa);
     *out = backend;
     return "";
 }
