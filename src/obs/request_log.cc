@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <type_traits>
 
 #include "core/logging.hh"
 #include "core/stats.hh"
@@ -28,6 +29,50 @@ const char *const kOutcomeNames[kNumRequestOutcomes] = {
     "cancelled",
     "dropped_low_priority",
     "failed",
+};
+
+/** One optional cause tag of a record's JSON form. */
+struct Tag
+{
+    const char *key;
+    enum Kind { Count, Real, Flag } kind;
+    double absent; ///< not written at this value, read back when missing
+    double (*get)(const RequestRecord &);
+    void (*set)(RequestRecord &, double);
+};
+
+template <auto Field>
+constexpr Tag
+tag(const char *key, Tag::Kind kind, double absent = 0.0)
+{
+    using T = std::remove_reference_t<decltype(RequestRecord{}.*Field)>;
+    return {key, kind, absent,
+            [](const RequestRecord &r) {
+                return static_cast<double>(r.*Field);
+            },
+            [](RequestRecord &r, double v) {
+                r.*Field = static_cast<T>(v);
+            }};
+}
+
+/** The tags in the order the writer emits and the parser checks them. */
+constexpr Tag kTags[] = {
+    tag<&RequestRecord::brownoutLevel>("brownout_level", Tag::Count),
+    tag<&RequestRecord::degraded>("degraded", Tag::Flag),
+    tag<&RequestRecord::slaViolated>("sla_violated", Tag::Flag),
+    tag<&RequestRecord::deadlineClamped>("deadline_clamped", Tag::Flag),
+    tag<&RequestRecord::hedgeWon>("hedge_won", Tag::Flag),
+    tag<&RequestRecord::retries>("retries", Tag::Count),
+    tag<&RequestRecord::hedges>("hedges", Tag::Count),
+    tag<&RequestRecord::hedgeWins>("hedge_wins", Tag::Count),
+    tag<&RequestRecord::replica>("replica", Tag::Count, -1.0),
+    tag<&RequestRecord::criticalShard>("critical_shard", Tag::Count, -1.0),
+    tag<&RequestRecord::batchItems>("batch_items", Tag::Count),
+    tag<&RequestRecord::breakerRejects>("breaker_rejects", Tag::Count),
+    tag<&RequestRecord::admissionEstimate>("admission_estimate_s",
+                                           Tag::Real),
+    tag<&RequestRecord::healthEwma>("health_ewma", Tag::Real),
+    tag<&RequestRecord::offloadBytes>("offload_bytes", Tag::Real),
 };
 
 bool
@@ -286,41 +331,15 @@ requestRecordJson(const RequestRecord &rec)
         out += "\": " + jsonNumber(rec.phase[i]);
     }
     out += "}";
-    if (rec.brownoutLevel != 0)
-        out += ", \"brownout_level\": " +
-               std::to_string(rec.brownoutLevel);
-    if (rec.degraded)
-        out += ", \"degraded\": true";
-    if (rec.slaViolated)
-        out += ", \"sla_violated\": true";
-    if (rec.deadlineClamped)
-        out += ", \"deadline_clamped\": true";
-    if (rec.hedgeWon)
-        out += ", \"hedge_won\": true";
-    if (rec.retries != 0)
-        out += ", \"retries\": " + std::to_string(rec.retries);
-    if (rec.hedges != 0)
-        out += ", \"hedges\": " + std::to_string(rec.hedges);
-    if (rec.hedgeWins != 0)
-        out += ", \"hedge_wins\": " + std::to_string(rec.hedgeWins);
-    if (rec.replica >= 0)
-        out += ", \"replica\": " + std::to_string(rec.replica);
-    if (rec.criticalShard >= 0)
-        out += ", \"critical_shard\": " +
-               std::to_string(rec.criticalShard);
-    if (rec.batchItems != 0)
-        out += ", \"batch_items\": " + std::to_string(rec.batchItems);
-    if (rec.breakerRejects != 0)
-        out += ", \"breaker_rejects\": " +
-               std::to_string(rec.breakerRejects);
-    if (rec.admissionEstimate != 0.0f)
-        out += ", \"admission_estimate_s\": " +
-               jsonNumber(static_cast<double>(rec.admissionEstimate));
-    if (rec.healthEwma != 0.0f)
-        out += ", \"health_ewma\": " +
-               jsonNumber(static_cast<double>(rec.healthEwma));
-    if (rec.offloadBytes != 0.0)
-        out += ", \"offload_bytes\": " + jsonNumber(rec.offloadBytes);
+    for (const Tag &t : kTags) {
+        double v = t.get(rec);
+        if (v == t.absent)
+            continue;
+        out += std::string(", \"") + t.key + "\": ";
+        out += t.kind == Tag::Flag ? "true"
+            : t.kind == Tag::Count ? std::to_string(static_cast<int64_t>(v))
+                                   : jsonNumber(v);
+    }
     out += "}";
     return out;
 }
@@ -564,58 +583,18 @@ parseRequestLog(const std::string &jsonl,
             rec.phase[idx] = field.second.number;
         }
 
-        if (!finiteField(value, "brownout_level", false, 0.0, &d,
-                         &msg))
-            return lineError(error, lineno, msg);
-        rec.brownoutLevel = static_cast<uint8_t>(d);
-        struct
-        {
-            const char *key;
-            bool *dst;
-        } flags[] = {
-            {"degraded", &rec.degraded},
-            {"sla_violated", &rec.slaViolated},
-            {"deadline_clamped", &rec.deadlineClamped},
-            {"hedge_won", &rec.hedgeWon},
-        };
-        for (const auto &f : flags) {
-            const JsonValue *v = value.find(f.key);
-            if (v != nullptr && v->kind == JsonValue::Kind::Bool)
-                *f.dst = v->boolean;
+        for (const Tag &t : kTags) {
+            if (t.kind == Tag::Flag) {
+                const JsonValue *v = value.find(t.key);
+                if (v != nullptr && v->kind == JsonValue::Kind::Bool)
+                    t.set(rec, v->boolean ? 1.0 : 0.0);
+            } else if (finiteField(value, t.key, false, t.absent, &d,
+                                   &msg)) {
+                t.set(rec, d);
+            } else {
+                return lineError(error, lineno, msg);
+            }
         }
-        if (!finiteField(value, "retries", false, 0.0, &d, &msg))
-            return lineError(error, lineno, msg);
-        rec.retries = static_cast<uint16_t>(d);
-        if (!finiteField(value, "hedges", false, 0.0, &d, &msg))
-            return lineError(error, lineno, msg);
-        rec.hedges = static_cast<uint16_t>(d);
-        if (!finiteField(value, "hedge_wins", false, 0.0, &d, &msg))
-            return lineError(error, lineno, msg);
-        rec.hedgeWins = static_cast<uint16_t>(d);
-        if (!finiteField(value, "replica", false, -1.0, &d, &msg))
-            return lineError(error, lineno, msg);
-        rec.replica = static_cast<int32_t>(d);
-        if (!finiteField(value, "critical_shard", false, -1.0, &d,
-                         &msg))
-            return lineError(error, lineno, msg);
-        rec.criticalShard = static_cast<int32_t>(d);
-        if (!finiteField(value, "batch_items", false, 0.0, &d, &msg))
-            return lineError(error, lineno, msg);
-        rec.batchItems = static_cast<uint32_t>(d);
-        if (!finiteField(value, "breaker_rejects", false, 0.0, &d,
-                         &msg))
-            return lineError(error, lineno, msg);
-        rec.breakerRejects = static_cast<uint32_t>(d);
-        if (!finiteField(value, "admission_estimate_s", false, 0.0, &d,
-                         &msg))
-            return lineError(error, lineno, msg);
-        rec.admissionEstimate = static_cast<float>(d);
-        if (!finiteField(value, "health_ewma", false, 0.0, &d, &msg))
-            return lineError(error, lineno, msg);
-        rec.healthEwma = static_cast<float>(d);
-        if (!finiteField(value, "offload_bytes", false, 0.0, &d, &msg))
-            return lineError(error, lineno, msg);
-        rec.offloadBytes = d;
 
         out->push_back(rec);
     }

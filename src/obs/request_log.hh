@@ -117,6 +117,8 @@ struct RequestRecord
 
     double phase[kNumRequestPhases] = {};
 
+    double &at(RequestPhase p) { return phase[static_cast<size_t>(p)]; }
+
     double phaseSum() const
     {
         double s = 0.0;

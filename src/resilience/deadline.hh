@@ -50,6 +50,16 @@ struct Deadline
     }
 
     /**
+     * True when the budget left at @p now is below @p estimateSeconds,
+     * the p50 of the work still to do: even a median-speed attempt
+     * started now would blow the deadline, so give up instead.
+     */
+    bool cannotCover(double now, double estimateSeconds) const
+    {
+        return enabled() && remaining(now) < estimateSeconds;
+    }
+
+    /**
      * Effective timeout for an attempt issued at @p now: the fixed
      * policy timeout (0 = unbounded) clamped to the remaining budget.
      * Returns +infinity when neither bound applies, so callers can

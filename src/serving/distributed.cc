@@ -1,17 +1,18 @@
 #include "serving/distributed.hh"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "core/logging.hh"
 #include "core/stats.hh"
-#include "obs/hw_counters.hh"
-#include "obs/request_log.hh"
-#include "obs/timeseries.hh"
 #include "obs/trace.hh"
 #include "sched/brownout.hh"
+#include "serving/request_window.hh"
 
 namespace recperf {
+
+using obs::RequestOutcome;
 
 namespace {
 
@@ -268,27 +269,13 @@ ShardedInference::run(const RunOptions &options)
     if (sdc)
         sdc->calibrate(fresh_p50, machine_.dram.streamGBps());
 
-    obs::Tracer &tracer = obs::Tracer::global();
-    if (tracer.enabled()) {
-        tracer.nameLane(0, "aggregator");
-        for (uint32_t s = 0; s < numNodes(); ++s)
-            tracer.nameLane(1 + s, strprintf("shard %u", s));
-        if (sdc)
-            sdc->setTracer(&tracer,
-                           static_cast<int>(numNodes()) + 1);
-    }
-
     // Measurement starts here: drop warm-up/calibration telemetry and
     // anchor the time-series cadence at virtual t = 0.
-    obs::HwTelemetry &telem = obs::HwTelemetry::global();
-    if (telem.enabled())
-        telem.reset();
-    obs::TimeSeriesSampler *sampler = options.timeSeries;
-    if (sampler)
-        sampler->reset();
-    obs::RequestLogger *rlog = options.requestLog;
-    if (rlog)
-        rlog->reset();
+    RequestWindow window(options.requestLog, options.timeSeries);
+    window.start("aggregator", "shard ", numNodes());
+    obs::Tracer &tracer = obs::Tracer::global();
+    if (sdc && tracer.enabled())
+        sdc->setTracer(&tracer, static_cast<int>(numNodes()) + 1);
 
     double now = 0.0;
     double sum_slowest = 0.0;
@@ -301,21 +288,24 @@ ShardedInference::run(const RunOptions &options)
         double issue = now;
         double slowest = 0.0;
         double elapsed_max = 0.0;
-        bool ok = true;
-        bool cancelled = false;
-        // Request-log accumulators: the critical (slowest-ok) shard's
-        // breakdown defines the latency phases; retry/hedge/breaker
-        // counts sum over every shard so they reconcile against the
-        // run's exported counters.
+        // Cancelled once a shard gives up on the deadline, failed once
+        // one exhausts its retries.
+        RequestOutcome outcome = RequestOutcome::Served;
+        // Request-record state: the critical (slowest-ok) shard's
+        // breakdown defines the latency phases, and the retry/hedge/
+        // breaker counts are this inference's deltas of the run's
+        // counters, so they reconcile with the exported ones.
+        const uint64_t retries0 = result.retries;
+        const uint64_t hedges0 = result.hedgesIssued;
+        const uint64_t hedge_wins0 = result.hedgeWins;
+        const uint64_t rejects0 = result.breakerRejects;
         ShardOutcome crit;
         int32_t crit_shard = -1;
         double crit_base_clean = 0.0;
         double crit_verify = 0.0;
         double min_clean = 0.0;
-        uint64_t rl_retries = 0, rl_hedges = 0, rl_hedge_wins = 0;
-        uint64_t rl_breaker = 0;
-        bool rl_clamped = false;
-        double rl_offload = 0.0;
+        bool clamped = false;
+        double offload = 0.0;
         // Each inference carries its own budget, anchored at issue
         // time; once any shard gives up on the deadline, the remaining
         // shards are never queried.
@@ -351,15 +341,10 @@ ShardedInference::run(const RunOptions &options)
                              {"base_us",
                               strprintf("%.3f", base * 1e6)}});
             }
-            if (rlog) {
-                rl_retries += out.retries;
-                rl_hedges += out.hedges;
-                rl_hedge_wins += out.hedgeWins;
-                rl_breaker += out.breakerRejects;
-                rl_clamped = rl_clamped || out.deadlineClamped;
+            if (window.recording()) {
+                clamped = clamped || out.deadlineClamped;
                 for (const OpTiming &op : shard_timing.ops)
-                    rl_offload +=
-                        static_cast<double>(op.transferBytes);
+                    offload += static_cast<double>(op.transferBytes);
                 if (out.ok) {
                     if (crit_shard < 0 || base_clean < min_clean)
                         min_clean = base_clean;
@@ -373,113 +358,104 @@ ShardedInference::run(const RunOptions &options)
             }
             elapsed_max = std::max(elapsed_max, out.elapsed);
             if (out.cancelled) {
-                cancelled = true;
+                outcome = RequestOutcome::Cancelled;
                 break;
             }
             if (out.ok)
                 slowest = std::max(slowest, out.elapsed);
             else
-                ok = false;
+                outcome = RequestOutcome::Failed;
         }
-        // Shared tag assembly for whichever record this inference
-        // emits (served, cancelled, or failed).
-        auto base_record = [&](obs::RequestOutcome outcome,
-                               double latency) {
-            obs::RequestRecord rec;
-            rec.id = static_cast<uint64_t>(i);
-            rec.arrival = issue;
-            rec.start = issue;
-            rec.finish = now;
-            rec.latency = latency;
-            rec.outcome = outcome;
-            rec.retries = static_cast<uint16_t>(
-                std::min<uint64_t>(rl_retries, UINT16_MAX));
-            rec.hedges = static_cast<uint16_t>(
-                std::min<uint64_t>(rl_hedges, UINT16_MAX));
-            rec.hedgeWins = static_cast<uint16_t>(
-                std::min<uint64_t>(rl_hedge_wins, UINT16_MAX));
-            rec.breakerRejects = static_cast<uint32_t>(
-                std::min<uint64_t>(rl_breaker, UINT32_MAX));
-            rec.deadlineClamped = rl_clamped;
-            rec.hedgeWon = crit.hedgeWon;
-            rec.criticalShard = crit_shard;
-            rec.replica =
-                crit_shard >= 0 ? static_cast<int32_t>(crit.replica) : -1;
-            rec.healthEwma = static_cast<float>(crit.healthEwma);
-            rec.admissionEstimate = static_cast<float>(fresh_p50);
-            rec.batchItems = static_cast<uint32_t>(options_.batch);
-            rec.offloadBytes = rl_offload;
-            return rec;
-        };
-        if (cancelled) {
+
+        double latency = 0.0;
+        double mark_at = 0.0;
+        double network = 0.0;
+        double agg_seconds = 0.0;
+        double guard_extra = 0.0;
+        if (outcome == RequestOutcome::Cancelled) {
             // Deadline-shed: the aggregator never runs, the partial
             // shard work is wasted, and virtual time advances only by
             // what the abandoned attempt actually consumed (capped at
             // the budget — the cancellation point).
-            if (sdc)
-                sdc->dropInference();
-            ++result.deadlineExpired;
-            double consumed = deadline.enabled()
+            latency = deadline.enabled()
                 ? std::min(elapsed_max, deadline.budgetSeconds)
                 : elapsed_max;
             result.wastedSeconds += elapsed_max;
-            if (tracer.enabled()) {
-                tracer.instant("deadline", "cancelled", now + consumed,
-                               0);
+            mark_at = now + latency;
+            now += latency;
+        } else {
+            ModelTiming agg = agg_timer_->run();
+            agg_seconds =
+                agg.totalSeconds() - agg.secondsByKind(OpKind::SLS);
+            network = networkSeconds(nullptr);
+            if (outcome == RequestOutcome::Served) {
+                double total = slowest + network + agg_seconds;
+                if (sdc) {
+                    // The aggregation boundary: output guards and
+                    // canary bookkeeping decide whether this response
+                    // escapes corrupted, serves degraded, or pays
+                    // guard time.
+                    guard_extra = sdc->endInference(now + total)
+                        .extraSeconds;
+                    total += guard_extra;
+                }
+                if (tracer.enabled()) {
+                    tracer.span("shard", "network", now + slowest,
+                                now + slowest + network, 0);
+                    tracer.span("shard", "aggregate",
+                                now + slowest + network, now + total, 0);
+                }
+                result.latency.add(total);
+                sum_slowest += slowest;
+                sum_agg += agg_seconds;
+                latency = total;
+                now += total;
+                mark_at = now;
+            } else {
+                // The aggregator abandons the inference once the
+                // slowest shard exhausts its retries; no result is
+                // produced.
+                result.wastedSeconds += agg_seconds;
+                latency = elapsed_max + network;
+                mark_at = now + elapsed_max;
+                now += elapsed_max + network;
             }
-            now += consumed;
-            if (sampler)
-                sampler->observeItem(now, consumed, true);
-            if (rlog) {
-                obs::RequestRecord rec =
-                    base_record(obs::RequestOutcome::Cancelled,
-                                consumed);
-                rec.slaViolated = true;
-                // The abandoned fan-out's time is all spent waiting on
-                // shards; blame it on the retry lane.
-                rec.phase[static_cast<size_t>(
-                    obs::RequestPhase::Retry)] = consumed;
-                rlog->record(rec);
-            }
-            if (telem.enabled())
-                telem.emitCounters(tracer, now, 0);
-            if (sampler)
-                sampler->tick(now);
-            continue;
         }
-        ModelTiming agg = agg_timer_->run();
-        double agg_seconds =
-            agg.totalSeconds() - agg.secondsByKind(OpKind::SLS);
-        double network = networkSeconds(nullptr);
-
-        if (ok) {
-            double total = slowest + network + agg_seconds;
-            double guard_extra = 0.0;
-            if (sdc) {
-                // The aggregation boundary: output guards and canary
-                // bookkeeping decide whether this response escapes
-                // corrupted, serves degraded, or pays guard time.
-                SdcController::Boundary boundary =
-                    sdc->endInference(now + total);
-                guard_extra = boundary.extraSeconds;
-                total += boundary.extraSeconds;
-            }
-            if (tracer.enabled()) {
-                tracer.span("shard", "network", now + slowest,
-                            now + slowest + network, 0);
-                tracer.span("shard", "aggregate",
-                            now + slowest + network, now + total, 0);
-            }
-            result.latency.add(total);
-            ++result.completed;
-            sum_slowest += slowest;
-            sum_agg += agg_seconds;
-            now += total;
-            if (sampler)
-                sampler->observeItem(now, total, false);
-            if (rlog) {
-                obs::RequestRecord rec =
-                    base_record(obs::RequestOutcome::Served, total);
+        if (sdc && outcome != RequestOutcome::Served)
+            sdc->dropInference();
+        window.end(
+            {.outcome = outcome, .id = static_cast<uint64_t>(i),
+             .arrival = issue, .start = issue, .finish = now,
+             .latency = latency, .markAt = mark_at},
+            [&](obs::RequestRecord &rec) {
+                rec.retries = static_cast<uint16_t>(std::min<uint64_t>(
+                    result.retries - retries0, UINT16_MAX));
+                rec.hedges = static_cast<uint16_t>(std::min<uint64_t>(
+                    result.hedgesIssued - hedges0, UINT16_MAX));
+                rec.hedgeWins = static_cast<uint16_t>(std::min<uint64_t>(
+                    result.hedgeWins - hedge_wins0, UINT16_MAX));
+                rec.breakerRejects = static_cast<uint32_t>(
+                    std::min<uint64_t>(result.breakerRejects - rejects0,
+                                       UINT32_MAX));
+                rec.deadlineClamped = clamped;
+                rec.hedgeWon = crit.hedgeWon;
+                rec.criticalShard = crit_shard;
+                rec.replica = crit_shard >= 0
+                    ? static_cast<int32_t>(crit.replica) : -1;
+                rec.healthEwma = static_cast<float>(crit.healthEwma);
+                rec.admissionEstimate = static_cast<float>(fresh_p50);
+                rec.batchItems = static_cast<uint32_t>(options_.batch);
+                rec.offloadBytes = offload;
+                if (outcome != RequestOutcome::Served) {
+                    // An abandoned fan-out spent its time waiting on
+                    // shards: blame the retry lane. A failed one still
+                    // made the network hop.
+                    rec.at(obs::RequestPhase::Retry) =
+                        outcome == RequestOutcome::Cancelled
+                        ? latency : elapsed_max;
+                    rec.at(obs::RequestPhase::Network) = network;
+                    return;
+                }
                 // Decompose the critical shard's elapsed time:
                 //  - Service: the fault-free minimum shard time (the
                 //    floor every fan-out pays);
@@ -488,59 +464,26 @@ ShardedInference::run(const RunOptions &options)
                 //  - Scrub: scrubber slowdown + inline verification +
                 //    the aggregation boundary's guard time;
                 //  - Retry/Hedge/Warmup: the critical shard's waits.
-                auto ph = [&rec](obs::RequestPhase p) -> double & {
-                    return rec.phase[static_cast<size_t>(p)];
-                };
-                ph(obs::RequestPhase::Service) = min_clean;
-                ph(obs::RequestPhase::ShardStraggler) =
-                    (crit_base_clean - min_clean) +
-                    crit.stragglerSeconds;
-                ph(obs::RequestPhase::Retry) = crit.retryWaitSeconds;
-                ph(obs::RequestPhase::Hedge) = crit.hedgeWaitSeconds;
-                ph(obs::RequestPhase::Warmup) = crit.warmupSeconds;
-                ph(obs::RequestPhase::Scrub) =
+                rec.at(obs::RequestPhase::Service) = min_clean;
+                rec.at(obs::RequestPhase::ShardStraggler) =
+                    (crit_base_clean - min_clean) + crit.stragglerSeconds;
+                rec.at(obs::RequestPhase::Retry) = crit.retryWaitSeconds;
+                rec.at(obs::RequestPhase::Hedge) = crit.hedgeWaitSeconds;
+                rec.at(obs::RequestPhase::Warmup) = crit.warmupSeconds;
+                rec.at(obs::RequestPhase::Scrub) =
                     (crit.serviceSeconds - crit_base_clean) +
                     crit_verify + guard_extra;
-                ph(obs::RequestPhase::Network) = network;
-                ph(obs::RequestPhase::Aggregate) = agg_seconds;
-                rlog->record(rec);
-            }
-        } else {
-            // The aggregator abandons the inference once the slowest
-            // shard exhausts its retries; no result is produced.
-            if (sdc)
-                sdc->dropInference();
-            ++result.failed;
-            result.wastedSeconds += agg_seconds;
-            if (tracer.enabled()) {
-                tracer.instant("shard", "inference_failed",
-                               now + elapsed_max, 0);
-            }
-            now += elapsed_max + network;
-            if (sampler)
-                sampler->observeItem(now, elapsed_max + network, true);
-            if (rlog) {
-                obs::RequestRecord rec =
-                    base_record(obs::RequestOutcome::Failed,
-                                elapsed_max + network);
-                rec.slaViolated = true;
-                // Retries were exhausted: the whole shard wait is the
-                // retry lane's fault; the network hop still happened.
-                rec.phase[static_cast<size_t>(
-                    obs::RequestPhase::Retry)] = elapsed_max;
-                rec.phase[static_cast<size_t>(
-                    obs::RequestPhase::Network)] = network;
-                rlog->record(rec);
-            }
-        }
+                rec.at(obs::RequestPhase::Network) = network;
+                rec.at(obs::RequestPhase::Aggregate) = agg_seconds;
+            });
         // `now` only moves forward, so the counter tracks carry
         // monotone virtual timestamps.
-        if (telem.enabled())
-            telem.emitCounters(tracer, now, 0);
-        if (sampler)
-            sampler->tick(now);
+        window.tick(now);
     }
     result.duration = now;
+    result.completed = window.ended(RequestOutcome::Served);
+    result.failed = window.ended(RequestOutcome::Failed);
+    result.deadlineExpired = window.ended(RequestOutcome::Cancelled);
 
     if (sdc) {
         // Final scrub period + repair-queue drain: every resident
@@ -641,12 +584,46 @@ ShardedInference::resolveReplicated(FaultInjector &injector,
         out.retryWaitSeconds = waited;
         return out;
     };
+    // `body` = base * mult * warm of the winning copy: peel warm-up off
+    // the top, then the fault excess, leaving the clean base.
+    auto answered = [&](uint32_t replica, double elapsed, double body,
+                        double warm, bool by_hedge) {
+        out.elapsed = elapsed;
+        out.ok = true;
+        out.replica = replica;
+        out.retryWaitSeconds = waited;
+        out.serviceSeconds = base_seconds;
+        out.warmupSeconds = body - body / warm;
+        out.stragglerSeconds = body / warm - base_seconds;
+        if (by_hedge) {
+            out.hedgeWaitSeconds = hedge_delay;
+            out.hedgeWon = true;
+        }
+        out.healthEwma = set.health(replica).ewmaSeconds();
+        return out;
+    };
+    // A hedge to @p alt at @p t: its service body and warm-up factor,
+    // or nothing when that copy is down.
+    auto hedge_to = [&](uint32_t alt, double t,
+                        double *warm) -> std::optional<double> {
+        if (!replica_up(alt, t)) {
+            ++result->shardDownEncounters;
+            set.recordError(alt, t);
+            return std::nullopt;
+        }
+        *warm = set.warmupMultiplier(alt, t);
+        double body = base_seconds * multiplier(t) * *warm;
+        ++result->hedgesIssued;
+        result->hedgeExtraSeconds += body;
+        result->hedgeExtraBytes += shardNetworkBytes(shard);
+        return body;
+    };
     for (int attempt = 0; attempt < max_attempts; ++attempt) {
         double t_start = now + waited;
         if (dl.expired(t_start))
             return abandoned(true);
         double remaining = dl.remaining(t_start);
-        if (dl.enabled() && remaining < fresh_p50) {
+        if (dl.cannotCover(t_start, fresh_p50)) {
             ++result->deadlineFastFails;
             return abandoned(true);
         }
@@ -679,7 +656,6 @@ ShardedInference::resolveReplicated(FaultInjector &injector,
             // detection latency and let the backoff ride until a
             // breaker half-opens.
             ++result->breakerRejects;
-            ++out.breakerRejects;
             result->wastedSeconds += retry.failFastSeconds;
             waited += retry.failFastSeconds;
         } else {
@@ -692,48 +668,26 @@ ShardedInference::resolveReplicated(FaultInjector &injector,
                 // second-best replica — if one is admitted and alive, and
                 // answers within the attempt's timeout.
                 double lost = retry.failFastSeconds;
-                if (hedge_fits && pick.alternate >= 0) {
-                    auto alt = static_cast<uint32_t>(pick.alternate);
-                    double t_hedge = t_start + hedge_delay;
-                    if (replica_up(alt, t_hedge)) {
-                        double warm = set.warmupMultiplier(alt, t_hedge);
-                        double hedged =
-                            base_seconds * multiplier(t_hedge) * warm;
-                        ++result->hedgesIssued;
-                        ++out.hedges;
-                        result->hedgeExtraSeconds += hedged;
-                        result->hedgeExtraBytes +=
-                            shardNetworkBytes(shard);
-                        if (hedge_delay + hedged <= timeout) {
-                            ++result->hedgeWins;
-                            ++result->failovers;
-                            result->warmupPenaltySeconds +=
-                                hedged - hedged / warm;
-                            set.recordSuccess(alt, hedged, t_hedge);
-                            out.elapsed = waited + hedge_delay + hedged;
-                            out.ok = true;
-                            out.replica = alt;
-                            out.retryWaitSeconds = waited;
-                            out.hedgeWaitSeconds = hedge_delay;
-                            out.serviceSeconds = base_seconds;
-                            out.warmupSeconds = hedged - hedged / warm;
-                            out.stragglerSeconds =
-                                hedged / warm - base_seconds;
-                            ++out.hedgeWins;
-                            out.hedgeWon = true;
-                            out.healthEwma =
-                                set.health(alt).ewmaSeconds();
-                            return out;
-                        }
-                        // The rescue straggled past the timeout: it is
-                        // abandoned like any other slow attempt.
-                        ++result->timeouts;
-                        set.recordError(alt, t_start + timeout);
-                        lost = timeout;
-                    } else {
-                        ++result->shardDownEncounters;
-                        set.recordError(alt, t_hedge);
-                    }
+                auto alt = static_cast<uint32_t>(pick.alternate);
+                double t_hedge = t_start + hedge_delay;
+                double warm = 1.0;
+                std::optional<double> hedged;
+                if (hedge_fits && pick.alternate >= 0)
+                    hedged = hedge_to(alt, t_hedge, &warm);
+                if (hedged && hedge_delay + *hedged <= timeout) {
+                    ++result->hedgeWins;
+                    ++result->failovers;
+                    result->warmupPenaltySeconds += *hedged - *hedged / warm;
+                    set.recordSuccess(alt, *hedged, t_hedge);
+                    return answered(alt, waited + hedge_delay + *hedged,
+                                    *hedged, warm, true);
+                }
+                if (hedged) {
+                    // The rescue straggled past the timeout: it is
+                    // abandoned like any other slow attempt.
+                    ++result->timeouts;
+                    set.recordError(alt, t_start + timeout);
+                    lost = timeout;
                 }
                 result->wastedSeconds += lost;
                 waited += lost;
@@ -745,35 +699,23 @@ ShardedInference::resolveReplicated(FaultInjector &injector,
                 uint32_t winner = primary;
                 double win_warm = warm;
                 double win_body = service;
+                auto alt = static_cast<uint32_t>(pick.alternate);
+                double t_hedge = t_start + hedge_delay;
+                double warm_alt = 1.0;
+                std::optional<double> alt_service;
                 if (hedge_fits && service > hedge_delay &&
-                    pick.alternate >= 0) {
-                    auto alt = static_cast<uint32_t>(pick.alternate);
-                    double t_hedge = t_start + hedge_delay;
-                    if (replica_up(alt, t_hedge)) {
-                        double warm_alt =
-                            set.warmupMultiplier(alt, t_hedge);
-                        double alt_service =
-                            base_seconds * multiplier(t_hedge) * warm_alt;
-                        double hedged = hedge_delay + alt_service;
-                        ++result->hedgesIssued;
-                        result->hedgeExtraSeconds += alt_service;
-                        result->hedgeExtraBytes +=
-                            shardNetworkBytes(shard);
-                        ++out.hedges;
-                        set.recordSuccess(alt, alt_service, t_hedge);
-                        if (hedged < service) {
-                            ++result->hedgeWins;
-                            ++out.hedgeWins;
-                            result->warmupPenaltySeconds +=
-                                alt_service - alt_service / warm_alt;
-                            winner = alt;
-                            service = hedged;
-                            win_warm = warm_alt;
-                            win_body = alt_service;
-                        }
-                    } else {
-                        ++result->shardDownEncounters;
-                        set.recordError(alt, t_hedge);
+                    pick.alternate >= 0)
+                    alt_service = hedge_to(alt, t_hedge, &warm_alt);
+                if (alt_service) {
+                    set.recordSuccess(alt, *alt_service, t_hedge);
+                    if (hedge_delay + *alt_service < service) {
+                        ++result->hedgeWins;
+                        result->warmupPenaltySeconds +=
+                            *alt_service - *alt_service / warm_alt;
+                        winner = alt;
+                        service = hedge_delay + *alt_service;
+                        win_warm = warm_alt;
+                        win_body = *alt_service;
                     }
                 }
                 if (service > timeout) {
@@ -794,30 +736,13 @@ ShardedInference::resolveReplicated(FaultInjector &injector,
                         winner !=
                             static_cast<uint32_t>(prev_error_replica))
                         ++result->failovers;
-                    out.elapsed = waited + service;
-                    out.ok = true;
-                    out.replica = winner;
-                    out.retryWaitSeconds = waited;
-                    out.serviceSeconds = base_seconds;
-                    // win_body = base * mult * warm of the winning
-                    // attempt; peel warm-up off the top, then the
-                    // fault excess, leaving the clean base.
-                    out.warmupSeconds = win_body - win_body / win_warm;
-                    out.stragglerSeconds =
-                        win_body / win_warm - base_seconds;
-                    if (winner != primary) {
-                        out.hedgeWaitSeconds = hedge_delay;
-                        out.hedgeWon = true;
-                    }
-                    out.healthEwma =
-                        set.health(winner).ewmaSeconds();
-                    return out;
+                    return answered(winner, waited + service, win_body,
+                                    win_warm, winner != primary);
                 }
             }
         }
         if (attempt + 1 < max_attempts) {
             ++result->retries;
-            ++out.retries;
             waited += retry.backoffBefore(attempt);
         }
     }

@@ -291,12 +291,8 @@ class ShardedInference
         double retryWaitSeconds = 0.0; ///< fail-fast/timeout/backoff
         double hedgeWaitSeconds = 0.0; ///< hedge delay on the winner
         double warmupSeconds = 0.0;    ///< cold-replica inflation
-        uint16_t retries = 0;          ///< re-sends on this shard
-        uint16_t hedges = 0;           ///< hedges fired on this shard
-        uint16_t hedgeWins = 0;        ///< hedges that won or rescued
         bool hedgeWon = false;         ///< winner was the hedge
         bool deadlineClamped = false;  ///< budget bound a timeout
-        uint32_t breakerRejects = 0;   ///< all-breakers-open rejects
         double healthEwma = 0.0;       ///< winner's EWMA after success
     };
 

@@ -2,21 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <optional>
 #include <queue>
 
 #include "core/logging.hh"
-#include "obs/hw_counters.hh"
-#include "obs/request_log.hh"
 #include "obs/timeseries.hh"
 #include "obs/trace.hh"
 #include "resilience/deadline.hh"
+#include "serving/request_window.hh"
 
 namespace recperf {
 
-namespace {
+using obs::RequestOutcome;
 
-constexpr uint64_t kTenantRegionBytes = 1ull << 44;
+namespace {
 
 /** Min-heap entry: (free time, worker index). */
 using WorkerSlot = std::pair<double, size_t>;
@@ -130,38 +130,34 @@ ServingStats::exportTo(obs::MetricsRegistry &registry) const
 std::string
 ServingStats::summarize(const obs::MetricsSnapshot &snap)
 {
+    struct Row { const char *label; const char *name; };
+    // Offered items that were not served, in print order.
+    static constexpr Row kUnserved[] = {
+        {"shed at admission:", "serving.items.shed"},
+        {"shed (deadline < p50 est):", "serving.shed.admission_deadline"},
+        {"deadline-shed in queue:", "serving.deadline.shed"},
+        {"cancelled mid-batch:", "serving.deadline.cancelled"},
+        {"dropped low-prio:", "serving.items.dropped_low_priority"},
+    };
+    // Every count line right-aligns its number to column 33.
+    auto line = [](const char *label, uint64_t n) {
+        return strprintf("  %s %*llu\n", label,
+                         static_cast<int>(30 - std::strlen(label)),
+                         static_cast<unsigned long long>(n));
+    };
     uint64_t met = snap.counter("serving.items.sla_met");
-    uint64_t missed = snap.counter("serving.items.sla_missed");
-    uint64_t shed = snap.counter("serving.items.shed");
-    uint64_t dropped = snap.counter("serving.items.dropped_low_priority");
-    uint64_t shed_deadline = snap.counter("serving.shed.admission_deadline");
-    uint64_t deadline_shed = snap.counter("serving.deadline.shed");
-    uint64_t cancelled = snap.counter("serving.deadline.cancelled");
-    uint64_t completed = met + missed;
-    uint64_t offered = completed + shed + dropped + shed_deadline +
-        deadline_shed + cancelled;
+    uint64_t completed = met + snap.counter("serving.items.sla_missed");
+    uint64_t offered = completed;
+    for (const Row &row : kUnserved)
+        offered += snap.counter(row.name);
     double duration = snap.gauge("serving.duration_seconds");
 
-    std::string out;
-    out += strprintf("  offered items:     %12llu\n",
-                     static_cast<unsigned long long>(offered));
-    out += strprintf("  completed items:   %12llu\n",
-                     static_cast<unsigned long long>(completed));
-    if (shed)
-        out += strprintf("  shed at admission: %12llu\n",
-                         static_cast<unsigned long long>(shed));
-    if (shed_deadline)
-        out += strprintf("  shed (deadline < p50 est): %4llu\n",
-                         static_cast<unsigned long long>(shed_deadline));
-    if (deadline_shed)
-        out += strprintf("  deadline-shed in queue: %7llu\n",
-                         static_cast<unsigned long long>(deadline_shed));
-    if (cancelled)
-        out += strprintf("  cancelled mid-batch: %10llu\n",
-                         static_cast<unsigned long long>(cancelled));
-    if (dropped)
-        out += strprintf("  dropped low-prio:  %12llu\n",
-                         static_cast<unsigned long long>(dropped));
+    std::string out = line("offered items:", offered);
+    out += line("completed items:", completed);
+    for (const Row &row : kUnserved) {
+        if (uint64_t n = snap.counter(row.name))
+            out += line(row.label, n);
+    }
     uint64_t degraded = snap.counter("serving.batches.degraded");
     if (degraded) {
         out += strprintf("  degraded batches:  %12llu of %llu\n",
@@ -210,7 +206,6 @@ ServingStats::summarize(const obs::MetricsSnapshot &snap)
                 static_cast<unsigned long long>(level_items[l]));
         }
     }
-    struct Row { const char *label; const char *name; };
     static constexpr Row kRows[] = {
         {"item latency", "serving.item_latency_seconds"},
         {"batch service", "serving.batch_service_seconds"},
@@ -249,12 +244,10 @@ Server::Server(const MachineSpec &machine, const ModelConfig &config,
     RP_ASSERT(options_.healthyReplicas <= options_.clusterReplicas,
               "healthy replicas (%u) cannot exceed the cluster's %u",
               options_.healthyReplicas, options_.clusterReplicas);
-    std::string err = validateDeadlineSeconds(options_.deadlineSeconds);
-    RP_ASSERT(err.empty(), "%s", err.c_str());
-    err = options_.brownout.validate();
-    RP_ASSERT(err.empty(), "%s", err.c_str());
-    if (options_.faults.anyFaults())
-        injector_ = std::make_unique<FaultInjector>(options_.faults, 0);
+    for (const std::string &err :
+         {validateDeadlineSeconds(options_.deadlineSeconds),
+          options_.brownout.validate(), options_.faults.validate()})
+        RP_ASSERT(err.empty(), "%s", err.c_str());
 
     hier_ = machine_.makeHierarchy(options_.numWorkers);
     bool ht = options_.numWorkers > machine_.coresPerSocket;
@@ -307,18 +300,9 @@ Server::numWorkers() const
 }
 
 double
-Server::healthyFraction() const
-{
-    uint32_t healthy = options_.healthyReplicas == 0
-        ? options_.clusterReplicas : options_.healthyReplicas;
-    return static_cast<double>(healthy) /
-        static_cast<double>(options_.clusterReplicas);
-}
-
-double
 Server::serviceBatch(size_t worker, int64_t batch, double now,
-                     double *fc_seconds, BrownoutLevel level,
-                     double *fault_mult)
+                     FaultInjector &faults, double *fc_seconds,
+                     BrownoutLevel level, double *fault_mult)
 {
     // Brownout levels shrink the modeled work. L1+ scores only a
     // fraction of the candidate set (smaller effective batch — every
@@ -357,11 +341,8 @@ Server::serviceBatch(size_t worker, int64_t batch, double now,
     // The lognormal jitter is benign environment noise; the injected
     // fault multiplier is the straggler cause, reported separately so
     // the request log can split clean service from straggler excess.
-    double fault = 1.0;
-    if (injector_) {
-        fault = injector_->serviceMultiplier(now);
-        jitter *= fault;
-    }
+    double fault = faults.serviceMultiplier(now);
+    jitter *= fault;
     if (fault_mult)
         *fault_mult = fault;
     if (fc_seconds)
@@ -405,36 +386,14 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items,
         }
     }
 
-    obs::Tracer &tracer = obs::Tracer::global();
-    if (tracer.enabled()) {
-        tracer.nameLane(0, "batching queue");
-        for (size_t w = 0; w < workers_.size(); ++w) {
-            tracer.nameLane(static_cast<uint32_t>(1 + w),
-                            strprintf("worker %zu", w));
-        }
-    }
-
-    // The measurement window starts here: drop constructor warm-up
-    // telemetry and anchor the time-series cadence at t = 0.
-    obs::HwTelemetry &telem = obs::HwTelemetry::global();
-    if (telem.enabled())
-        telem.reset();
-    if (sampler)
-        sampler->reset();
-    if (rlog)
-        rlog->reset();
-
-    std::priority_queue<WorkerSlot, std::vector<WorkerSlot>,
-                        std::greater<>> free_at;
-    for (size_t w = 0; w < workers_.size(); ++w)
-        free_at.emplace(0.0, w);
-
     // Wait budget of the admission controller: an item whose queueing
     // delay already exceeds this fraction of the SLA is shed, leaving
     // the remainder of the SLA for service time. With dead replicas in
     // the tier, the survivors carry their traffic, so both overload
     // responses arm earlier by the healthy fraction.
-    double healthy = healthyFraction();
+    double healthy = static_cast<double>(options_.healthyReplicas == 0
+        ? options_.clusterReplicas : options_.healthyReplicas) /
+        static_cast<double>(options_.clusterReplicas);
     double wait_budget = options_.slaSeconds *
         options_.admission.maxWaitFraction * healthy;
     double degrade_backlog = options_.degrade.backlogFactor * healthy *
@@ -442,8 +401,9 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items,
 
     // Deadline machinery: every item carries the same relative budget
     // from its arrival. A private burn-rate sensor feeds the brownout
-    // controller — private so its windows/budget can differ from the
-    // exported slo.* gauges, and so it sees shed/cancelled items too.
+    // controller, private so its windows/budget can differ from the
+    // exported slo.* gauges; it observes the outcomes the request
+    // window observes (request_window.hh).
     const bool deadline_on = options_.deadlineSeconds > 0.0;
     const double deadline_budget = options_.deadlineSeconds;
     std::optional<obs::TimeSeriesSampler> brown_sensor;
@@ -457,47 +417,32 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items,
         sensor_opts.errorBudget = options_.brownout.errorBudget;
         brown_sensor.emplace(sensor_opts);
     }
+    // Every run restarts virtual time at 0, so it draws its fault
+    // schedule afresh (with no fault configured it never slows a batch).
+    FaultInjector faults(options_.faults, 0);
+
+    // The measurement window starts here: drop constructor warm-up
+    // telemetry and anchor the time-series cadence at t = 0.
+    RequestWindow window(rlog, sampler,
+                         brown_sensor ? &*brown_sensor : nullptr);
+    window.start("batching queue", "worker ", numWorkers());
+    obs::Tracer &tracer = obs::Tracer::global();
+
+    std::priority_queue<WorkerSlot, std::vector<WorkerSlot>,
+                        std::greater<>> free_at;
+    for (size_t w = 0; w < workers_.size(); ++w)
+        free_at.emplace(0.0, w);
+
     // Recent per-batch service times; their p50 is the admission
     // estimate a deadline is checked against. Seeded by the warm-up
     // calibration until real batches accumulate.
     std::vector<double> recent_service;
-    auto service_p50 = [&]() {
-        return recent_service.empty() ? warmServiceEstimate_
-                                      : percentile(recent_service, 50.0);
-    };
-    auto observe_outcome = [&](double t, double latency, bool violated) {
-        if (sampler)
-            sampler->observeItem(t, latency, violated);
-        if (brown_sensor)
-            brown_sensor->observeItem(t, latency, violated);
-    };
-    // One causal record per item that never reached a worker: all of
-    // its life was queue wait, so the phase vector is pure Queue and
-    // tiles the latency trivially.
-    auto shed_record = [rlog](uint64_t id, double arrival, double at,
-                               obs::RequestOutcome outcome,
-                               bool violated, double estimate,
-                               BrownoutLevel lvl, bool was_degraded) {
-        obs::RequestRecord rec;
-        rec.id = id;
-        rec.arrival = arrival;
-        rec.start = at;
-        rec.finish = at;
-        rec.latency = at - arrival;
-        rec.outcome = outcome;
-        rec.slaViolated = violated;
-        rec.brownoutLevel = static_cast<uint8_t>(lvl);
-        rec.degraded = was_degraded;
-        rec.admissionEstimate = static_cast<float>(estimate);
-        rec.phase[static_cast<size_t>(obs::RequestPhase::Queue)] =
-            rec.latency;
-        rlog->record(rec);
-    };
 
     ServingStats stats;
     size_t next = 0;
     double last_finish = 0.0;
     double last_assembly_end = 0.0;
+    std::vector<size_t> batch;
     while (next < arrivals.size()) {
         auto [t_free, w] = free_at.top();
         free_at.pop();
@@ -543,86 +488,60 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items,
             }
         }
 
-        double service_estimate = service_p50();
+        double service_estimate = recent_service.empty()
+            ? warmServiceEstimate_ : percentile(recent_service, 50.0);
+
+        // Every record carries the batch-formation tags; an item that
+        // never reached a worker spent all of its life in the queue.
+        auto fill = [&](obs::RequestRecord &rec, size_t batch_items,
+                        double clean, double straggler) {
+            rec.brownoutLevel = static_cast<uint8_t>(level);
+            rec.degraded = degraded;
+            rec.batchItems = static_cast<uint32_t>(batch_items);
+            rec.admissionEstimate = static_cast<float>(service_estimate);
+            rec.at(obs::RequestPhase::Queue) = rec.start - rec.arrival;
+            rec.at(obs::RequestPhase::Service) = clean;
+            rec.at(obs::RequestPhase::Straggler) = straggler;
+        };
+        // Batch-formation admission of item i; Served means admitted.
+        auto admit = [&](size_t i) {
+            const Deadline dl{arrivals[i], deadline_budget};
+            // A budget that burned away in the queue would only
+            // complete late; one below the p50 estimate is hopeless.
+            if (dl.expired(start))
+                return RequestOutcome::ShedDeadlineQueue;
+            if (dl.cannotCover(start, service_estimate))
+                return RequestOutcome::ShedAdmissionDeadline;
+            if (options_.admission.enabled &&
+                start - arrivals[i] > wait_budget)
+                return RequestOutcome::ShedAdmission;
+            if (degraded && !low_priority.empty() && low_priority[i])
+                return RequestOutcome::DroppedLowPriority;
+            return RequestOutcome::Served;
+        };
 
         // Form the batch, shedding and dropping as policy dictates.
         // An item arriving exactly at `start` has zero wait, so the
         // loop always consumes at least one item and terminates.
-        std::vector<double> batch_arrivals;
-        std::vector<uint64_t> batch_ids;
-        while (next < backlog_end &&
-               static_cast<int64_t>(batch_arrivals.size()) < batch_cap) {
-            double wait = start - arrivals[next];
-            if (deadline_on) {
-                Deadline dl{arrivals[next], deadline_budget};
-                if (dl.expired(start)) {
-                    // The budget burned away in the queue; serving now
-                    // would only complete late. Deadline-shed.
-                    ++stats.deadlineShedQueue;
-                    if (tracer.enabled()) {
-                        tracer.instant("deadline", "expired_queue",
-                                       start, 0);
-                    }
-                    if (rlog) {
-                        shed_record(
-                            next, arrivals[next], start,
-                            obs::RequestOutcome::ShedDeadlineQueue,
-                            true, service_estimate, level, degraded);
-                    }
-                    observe_outcome(start, wait, true);
-                    ++next;
-                    continue;
-                }
-                if (dl.remaining(start) < service_estimate) {
-                    // Admission rejection: even a median-speed batch
-                    // starting right now would blow the deadline.
-                    ++stats.shedAdmissionDeadline;
-                    if (tracer.enabled()) {
-                        tracer.instant("deadline", "shed_admission",
-                                       start, 0);
-                    }
-                    if (rlog) {
-                        shed_record(
-                            next, arrivals[next], start,
-                            obs::RequestOutcome::ShedAdmissionDeadline,
-                            true, service_estimate, level, degraded);
-                    }
-                    observe_outcome(start, wait, true);
-                    ++next;
-                    continue;
-                }
-            }
-            if (options_.admission.enabled && wait > wait_budget) {
-                ++stats.shedItems;
-                if (tracer.enabled())
-                    tracer.instant("serve", "shed", start, 0);
-                if (rlog) {
-                    shed_record(next, arrivals[next], start,
-                                obs::RequestOutcome::ShedAdmission,
-                                false, service_estimate, level,
-                                degraded);
-                }
-                ++next;
+        batch.clear();
+        for (; next < backlog_end &&
+               static_cast<int64_t>(batch.size()) < batch_cap;
+             ++next) {
+            RequestOutcome verdict = admit(next);
+            if (verdict == RequestOutcome::Served) {
+                batch.push_back(next);
                 continue;
             }
-            if (degraded && !low_priority.empty() && low_priority[next]) {
-                ++stats.droppedLowPriority;
-                if (tracer.enabled())
-                    tracer.instant("serve", "drop_low_priority", start, 0);
-                if (rlog) {
-                    shed_record(next, arrivals[next], start,
-                                obs::RequestOutcome::DroppedLowPriority,
-                                false, service_estimate, level,
-                                degraded);
-                }
-                ++next;
-                continue;
-            }
-            batch_arrivals.push_back(arrivals[next]);
-            batch_ids.push_back(next);
-            ++next;
+            window.end({.outcome = verdict, .id = next,
+                        .arrival = arrivals[next], .start = start,
+                        .finish = start,
+                        .latency = start - arrivals[next],
+                        .markAt = start},
+                       [&](obs::RequestRecord &rec) {
+                           fill(rec, 0, 0.0, 0.0);
+                       });
         }
-        if (batch_arrivals.empty()) {
+        if (batch.empty()) {
             // Everything waiting was shed or dropped; the worker polls
             // again for the (now nearer) head of the queue.
             free_at.emplace(start, w);
@@ -634,7 +553,7 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items,
         double fc = 0.0;
         double fault_mult = 1.0;
         double service = serviceBatch(
-            w, static_cast<int64_t>(batch_arrivals.size()), start, &fc,
+            w, static_cast<int64_t>(batch.size()), start, faults, &fc,
             level, &fault_mult);
         double finish = start + service;
         stats.serviceTime.add(service);
@@ -643,8 +562,7 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items,
         if (recent_service.size() > 64)
             recent_service.erase(recent_service.begin());
         if (tracer.enabled()) {
-            std::string items =
-                strprintf("%zu", batch_arrivals.size());
+            std::string items = strprintf("%zu", batch.size());
             std::vector<std::pair<std::string, std::string>> args = {
                 {"items", items},
                 {"degraded", degraded ? "true" : "false"}};
@@ -660,7 +578,7 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items,
             // monotone, keeping the lane's spans disjoint and the
             // trace nesting-clean at any load.
             double assembly_start =
-                std::max(batch_arrivals.front(), last_assembly_end);
+                std::max(arrivals[batch.front()], last_assembly_end);
             tracer.span("serve", "batch_assembly", assembly_start,
                         start, 0, {{"items", items}});
             last_assembly_end = start;
@@ -672,90 +590,55 @@ Server::runOpenLoop(double items_per_second, uint64_t num_items,
         // min-heap keeps monotonically non-decreasing — so counter
         // tracks stay valid Chrome-trace series and bit-identical
         // across host thread counts.
-        if (telem.enabled())
-            telem.emitCounters(tracer, start, 0);
-        if (sampler)
-            sampler->tick(start);
+        window.tick(start);
 
-        // Served-item phase decomposition: the span on the worker is
-        // the batch service time; dividing out the injected fault
-        // multiplier splits it into clean service and straggler
-        // excess, and the rest of the latency is queue wait.
+        // Dividing out the injected fault multiplier splits the batch
+        // service into clean service and straggler excess.
         double service_clean = service / fault_mult;
         double service_straggler = service - service_clean;
-        auto served_record = [&](uint64_t id, double arrival,
-                                 double latency,
-                                 obs::RequestOutcome outcome,
-                                 bool violated) {
-            obs::RequestRecord rec;
-            rec.id = id;
-            rec.arrival = arrival;
-            rec.start = start;
-            rec.finish = finish;
-            rec.latency = latency;
-            rec.outcome = outcome;
-            rec.slaViolated = violated;
-            rec.brownoutLevel = static_cast<uint8_t>(level);
-            rec.degraded = degraded;
-            rec.batchItems =
-                static_cast<uint32_t>(batch_arrivals.size());
-            rec.admissionEstimate =
-                static_cast<float>(service_estimate);
-            rec.phase[static_cast<size_t>(
-                obs::RequestPhase::Queue)] = start - arrival;
-            rec.phase[static_cast<size_t>(
-                obs::RequestPhase::Service)] = service_clean;
-            rec.phase[static_cast<size_t>(
-                obs::RequestPhase::Straggler)] = service_straggler;
-            rlog->record(rec);
-        };
-        for (size_t i = 0; i < batch_arrivals.size(); ++i) {
-            double arrival = batch_arrivals[i];
-            double latency = finish - arrival;
-            if (deadline_on && latency > deadline_budget) {
-                // The batch finished past this item's deadline, so
-                // its answer is abandoned, not delivered late.
-                ++stats.deadlineCancelled;
-                if (tracer.enabled()) {
-                    tracer.instant("deadline", "cancelled", finish,
-                                   static_cast<uint32_t>(1 + w));
-                }
-                if (rlog) {
-                    served_record(batch_ids[i], arrival, latency,
-                                  obs::RequestOutcome::Cancelled,
-                                  true);
-                }
-                observe_outcome(finish, latency, true);
-                continue;
-            }
-            stats.itemLatency.add(latency);
+        for (size_t id : batch) {
+            double latency = finish - arrivals[id];
+            // A batch finishing past an item's deadline abandons its
+            // answer instead of delivering it late.
+            bool cancelled = deadline_on && latency > deadline_budget;
             bool violated = latency > options_.slaSeconds;
-            if (violated)
-                ++stats.slaMissed;
-            else
-                ++stats.slaMet;
-            if (deadline_on)
-                ++stats.deadlineMet;
-            if (options_.brownout.enabled) {
-                ++stats.brownoutItems[static_cast<int>(level)];
-                stats.qualitySum +=
-                    options_.brownout.qualityScore(level);
+            if (!cancelled) {
+                stats.itemLatency.add(latency);
+                ++(violated ? stats.slaMissed : stats.slaMet);
+                if (options_.brownout.enabled) {
+                    ++stats.brownoutItems[static_cast<int>(level)];
+                    stats.qualitySum +=
+                        options_.brownout.qualityScore(level);
+                }
             }
-            if (rlog) {
-                served_record(batch_ids[i], arrival, latency,
-                              obs::RequestOutcome::Served, violated);
-            }
-            observe_outcome(finish, latency, violated);
+            window.end({.outcome = cancelled
+                            ? RequestOutcome::Cancelled
+                            : RequestOutcome::Served,
+                        .id = id, .arrival = arrivals[id],
+                        .start = start, .finish = finish,
+                        .latency = latency, .slaViolated = violated,
+                        .lane = static_cast<uint32_t>(1 + w),
+                        .markAt = finish},
+                       [&](obs::RequestRecord &rec) {
+                           fill(rec, batch.size(), service_clean,
+                                service_straggler);
+                       });
         }
         last_finish = std::max(last_finish, finish);
         free_at.emplace(finish, w);
     }
+    window.tick(last_finish);
 
-    if (telem.enabled())
-        telem.emitCounters(tracer, last_finish, 0);
-    if (sampler)
-        sampler->tick(last_finish);
-
+    stats.shedItems = window.ended(RequestOutcome::ShedAdmission);
+    stats.droppedLowPriority =
+        window.ended(RequestOutcome::DroppedLowPriority);
+    stats.shedAdmissionDeadline =
+        window.ended(RequestOutcome::ShedAdmissionDeadline);
+    stats.deadlineShedQueue =
+        window.ended(RequestOutcome::ShedDeadlineQueue);
+    stats.deadlineCancelled = window.ended(RequestOutcome::Cancelled);
+    if (deadline_on)
+        stats.deadlineMet = window.ended(RequestOutcome::Served);
     stats.finalBrownoutLevel =
         static_cast<uint32_t>(brownout.level());
     stats.duration = last_finish;
@@ -775,6 +658,7 @@ Server::runClosedLoop(uint64_t batches_per_worker)
         }
     }
 
+    FaultInjector faults(options_.faults, 0);
     ServingStats stats;
     std::vector<double> busy(workers_.size(), 0.0);
     // Round-robin so tenant cache streams interleave realistically.
@@ -782,7 +666,7 @@ Server::runClosedLoop(uint64_t batches_per_worker)
         for (size_t w = 0; w < workers_.size(); ++w) {
             double fc = 0.0;
             double service = serviceBatch(w, options_.maxBatch, busy[w],
-                                          &fc);
+                                          faults, &fc);
             stats.serviceTime.add(service);
             stats.fcTime.add(fc);
             if (tracer.enabled()) {

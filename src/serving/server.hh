@@ -185,9 +185,9 @@ struct ServingStats
     void exportTo(obs::MetricsRegistry &registry) const;
 
     /**
-     * The one end-of-run summary formatter: renders the `serving.`
-     * metrics of @p snap as the human-readable table every CLI command
-     * prints. Non-serving metrics in the snapshot are ignored.
+     * Renders the `serving.` metrics of @p snap as the human-readable
+     * table `recperf serve` prints after its run. Non-serving metrics
+     * in the snapshot are ignored.
      */
     static std::string summarize(const obs::MetricsSnapshot &snap);
 };
@@ -224,12 +224,9 @@ class Server
 
   private:
     double serviceBatch(size_t worker, int64_t batch, double now,
-                        double *fc_seconds,
+                        FaultInjector &faults, double *fc_seconds,
                         BrownoutLevel level = BrownoutLevel::Full,
                         double *fault_mult = nullptr);
-
-    /** healthy/total replica fraction in (0, 1]; 1 when fully healthy. */
-    double healthyFraction() const;
 
     MachineSpec machine_;
     ServerOptions options_;
@@ -238,8 +235,6 @@ class Server
     Rng jitter_rng_;
     Rng arrival_rng_;
     Rng priority_rng_;
-    /** Present when the failure model is active. */
-    std::unique_ptr<FaultInjector> injector_;
     /** Warm-up-calibrated full-batch service estimate (seconds). */
     double warmServiceEstimate_ = 0.0;
 };

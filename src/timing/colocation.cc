@@ -7,13 +7,6 @@
 
 namespace recperf {
 
-namespace {
-
-// Tenants occupy disjoint 16 TB address windows.
-constexpr uint64_t kTenantRegionBytes = 1ull << 44;
-
-} // namespace
-
 double
 ColocationResult::meanLatency() const
 {

@@ -75,6 +75,13 @@ inline constexpr double kHtFcPenalty = 1.6;
 inline constexpr double kHtSlsPenalty = 1.3;
 
 /**
+ * Tenants sharing one hierarchy (ColocationSim, Server) occupy
+ * disjoint 16 TB address windows: tenant t attaches at
+ * `kTenantRegionBytes * (t + 1)`.
+ */
+inline constexpr uint64_t kTenantRegionBytes = 1ull << 44;
+
+/**
  * Times inferences of one model configuration on one machine.
  *
  * A ModelTimer owns per-table trace generators (so consecutive runs see

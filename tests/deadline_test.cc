@@ -60,6 +60,17 @@ TEST(Deadline, ClampTimeoutTakesTheTighterBound)
     EXPECT_DOUBLE_EQ(dl.clampTimeout(2e-3, 20e-3), 0.0);
 }
 
+TEST(Deadline, CannotCoverAMedianAttemptOnceTheBudgetRunsLow)
+{
+    Deadline dl{0.0, 10e-3};
+    EXPECT_FALSE(dl.cannotCover(0.0, 4e-3));
+    EXPECT_FALSE(dl.cannotCover(6e-3, 4e-3)); // exactly covered
+    EXPECT_TRUE(dl.cannotCover(7e-3, 4e-3));
+    EXPECT_TRUE(dl.cannotCover(20e-3, 1e-9)); // expired covers nothing
+    // A disabled budget covers any estimate.
+    EXPECT_FALSE((Deadline{0.0, 0.0}.cannotCover(1e9, 1e9)));
+}
+
 TEST(Deadline, ValidationRejectsNonFinite)
 {
     EXPECT_TRUE(validateDeadlineSeconds(0.0).empty());

@@ -9,6 +9,10 @@
 #include "core/logging.hh"
 #include "machine/machine_spec.hh"
 #include "model/zoo.hh"
+#include "obs/metrics.hh"
+#include "obs/request_log.hh"
+#include "obs/timeseries.hh"
+#include "serving/request_window.hh"
 #include "serving/server.hh"
 
 namespace recperf {
@@ -185,6 +189,109 @@ TEST(Server, RejectsDegenerateRuns)
     EXPECT_THROW(server.runOpenLoop(0.0, 10), PanicError);
     EXPECT_THROW(server.runOpenLoop(10.0, 0), PanicError);
     EXPECT_THROW(server.runClosedLoop(0), PanicError);
+}
+
+/** Batches slower than 4x the run's median batch. */
+uint64_t
+spikedBatches(const ServingStats &stats)
+{
+    double p50 = stats.serviceTime.p(50);
+    uint64_t n = 0;
+    for (double s : stats.serviceTime.samples())
+        n += s > 4.0 * p50 ? 1 : 0;
+    return n;
+}
+
+TEST(Server, LoadSpikesRecurOnEveryRun)
+{
+    // Every run restarts virtual time at 0, so a reused Server must
+    // start its fault schedule over too: its later runs see load
+    // spikes just like its first.
+    ServerOptions opts = baseOptions();
+    opts.faults.spikeRatePerSec = 100.0;
+    opts.faults.spikeDurationSeconds = 0.003;
+    opts.faults.spikeFactor = 10.0;
+    Server server(broadwell(), rmc1Small(), TimerOptions{}, opts);
+    for (int run = 0; run < 3; ++run) {
+        ServingStats stats = server.runOpenLoop(20000.0, 2000);
+        EXPECT_GT(spikedBatches(stats), 0u) << "run " << run;
+    }
+}
+
+TEST(Server, SamplerObservesAllButWaitShedAndLowPriorityDrops)
+{
+    // Overload with every shed path armed: the deadline sheds in the
+    // queue and at admission, the wait budget sheds, degraded mode
+    // drops low-priority items, and stragglers cancel items mid-batch.
+    ServerOptions opts = baseOptions();
+    opts.slaSeconds = 0.0015;
+    opts.deadlineSeconds = 0.0015;
+    opts.admission.enabled = true;
+    opts.degrade.enabled = true;
+    opts.degrade.degradedMaxBatch = 4;
+    opts.degrade.lowPriorityFraction = 0.3;
+    opts.faults.stragglerProb = 0.1;
+    opts.faults.stragglerMin = 6.0;
+    Server server(broadwell(), rmc1Small(), TimerOptions{}, opts);
+    obs::TimeSeriesSampler sampler;
+    ServingStats stats =
+        server.runOpenLoop(400000.0, 8000, nullptr, &sampler);
+    ASSERT_GT(stats.completedItems(), 0u);
+    ASSERT_GT(stats.shedItems, 0u);
+    ASSERT_GT(stats.droppedLowPriority, 0u);
+    ASSERT_GT(stats.shedAdmissionDeadline, 0u);
+    ASSERT_GT(stats.deadlineShedQueue, 0u);
+    ASSERT_GT(stats.deadlineCancelled, 0u);
+
+    obs::MetricsRegistry registry;
+    sampler.exportTo(registry);
+    EXPECT_EQ(registry.snapshot().counter("slo.items"),
+              stats.offeredItems() - stats.shedItems -
+                  stats.droppedLowPriority);
+}
+
+TEST(RequestWindow, OneTableDecidesWhatEachOutcomeFeeds)
+{
+    // End one request with each outcome: the log records all seven,
+    // while the series and the brownout sensor observe all but the
+    // wait-budget shed and the low-priority drop, every one of them
+    // but Served as an SLA violation.
+    obs::RequestLogger log;
+    obs::TimeSeriesSampler series;
+    obs::TimeSeriesSampler sensor;
+    RequestWindow window(&log, &series, &sensor);
+    window.start("hub", "lane ", 1);
+    int fills = 0;
+    for (size_t o = 0; o < obs::kNumRequestOutcomes; ++o) {
+        double t = 1e-3 * static_cast<double>(o + 1);
+        window.end({.outcome = static_cast<obs::RequestOutcome>(o),
+                    .id = o, .arrival = 0.0, .start = 0.0, .finish = t,
+                    .latency = t, .markAt = t},
+                   [&](obs::RequestRecord &) { ++fills; });
+    }
+    EXPECT_EQ(fills, 7);
+    ASSERT_EQ(log.size(), 7u);
+    for (const obs::RequestRecord &rec : log.records()) {
+        bool unobserved =
+            rec.outcome == obs::RequestOutcome::ShedAdmission ||
+            rec.outcome == obs::RequestOutcome::DroppedLowPriority ||
+            rec.outcome == obs::RequestOutcome::Served;
+        EXPECT_EQ(rec.slaViolated, !unobserved)
+            << obs::requestOutcomeName(rec.outcome);
+    }
+    for (const obs::TimeSeriesSampler *s : {&series, &sensor}) {
+        obs::MetricsRegistry registry;
+        s->exportTo(registry);
+        obs::MetricsSnapshot snap = registry.snapshot();
+        EXPECT_EQ(snap.counter("slo.items"), 5u);
+        EXPECT_EQ(snap.counter("slo.violations"), 4u);
+    }
+
+    // Without a log no record is built.
+    RequestWindow bare(nullptr, nullptr);
+    bare.end({.outcome = obs::RequestOutcome::Failed},
+             [&](obs::RequestRecord &) { ++fills; });
+    EXPECT_EQ(fills, 7);
 }
 
 } // namespace
