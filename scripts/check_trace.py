@@ -31,6 +31,9 @@ Checks, in order:
 With --ops-only, checks 2 and 3 are skipped: op-level traces (e.g.
 `recperf eval --trace`) run everything on wall-clock lanes and have no
 serve/batch spans to reconcile against. Every other check still runs.
+A shard trace (`recperf shard --trace-out`: "shard" spans, no serve
+batch spans) needs no flag: its lanes are nesting-checked and only
+check 3 is skipped.
 
 With --require-track PREFIX (repeatable), at least one counter track
 whose name starts with PREFIX must exist — turns check 5's "counters
@@ -604,11 +607,14 @@ def main():
 
     trace = load_json(args.trace)
     spans, counters, instants = check_schema(trace)
-    if args.ops_only:
-        nested, rel = 0, 0.0
-    else:
+    shard_only = (any(ev["cat"] == "shard" for ev in spans)
+                  and not any(ev["cat"] == "serve" and ev["name"] == "batch"
+                              for ev in spans))
+    nested, rel = 0, None
+    if not args.ops_only:
         nested = check_nesting(spans)
-        rel = check_reconciliation(spans, args.tolerance)
+        if not shard_only:
+            rel = check_reconciliation(spans, args.tolerance)
     metrics = load_json(args.metrics) if args.metrics else None
     overload = check_overload_events(instants, metrics)
     log_corruptions = (load_fault_log(args.fault_log)
@@ -629,9 +635,13 @@ def main():
                  f"(tracks: {sorted(track_names) or 'none'})")
     if metrics is not None:
         check_metrics(metrics, spans)
-    recon = ("ops-only (nesting/reconcile skipped)" if args.ops_only
-             else f"{nested} nesting-checked, op/batch reconcile "
-                  f"within {rel * 100:.3f}%")
+    if args.ops_only:
+        recon = "ops-only (nesting/reconcile skipped)"
+    elif rel is None:
+        recon = f"{nested} nesting-checked, shard trace (no reconcile)"
+    else:
+        recon = (f"{nested} nesting-checked, op/batch reconcile "
+                 f"within {rel * 100:.3f}%")
     log_note = (f", {log_corruptions} logged corruption(s)"
                 if log_corruptions is not None else "")
     if requests is not None:

@@ -132,8 +132,8 @@ std::string backendConfigFromSpec(const std::string &backend_name,
                                   BackendConfig *out);
 
 /**
- * Everything a timing hook may read or advance. Built fresh by
- * ModelTimer::run() so the hooks see exactly the state the verbatim
+ * Everything a timing hook may read or advance. Built fresh for every
+ * run by ModelTimer so the hooks see exactly the state the verbatim
  * pre-backend code saw, in the same order.
  */
 struct TimingContext
@@ -160,6 +160,10 @@ struct TimingContext
     /** Per-table sparse-ID trace generators (timeSls advances them). */
     std::vector<std::unique_ptr<IdGenerator>> *tableGens = nullptr;
 
+    /** The timer's row-address scratch, reserved for batch x
+     *  lookupsPerTable IDs, so a gather never allocates. */
+    std::vector<uint64_t> *rowAddrs = nullptr;
+
     /** Effective LLC bytes available to this tenant's FC weights. */
     double llcShareBytes() const
     {
@@ -172,6 +176,11 @@ struct TimingContext
  * One compute backend's cost model. Timing hooks are pure given
  * (context, args) except for the documented stateful reads (cache
  * hierarchy, ID generators, contention RNG).
+ *
+ * Each hook fills the op record @p t, which arrives zeroed except for
+ * its name; ModelTimer owns the names and hooks never touch them.
+ * Hooks run on pool workers during a sharded fan-out, so they must not
+ * allocate.
  */
 class ComputeBackend
 {
@@ -185,14 +194,14 @@ class ComputeBackend
     const BackendConfig &config() const { return config_; }
 
     // One hook per OpTiming producer.
-    virtual OpTiming timeFc(TimingContext &ctx, const std::string &name,
-                            int64_t in, int64_t out) = 0;
-    virtual OpTiming timeSls(TimingContext &ctx, size_t table_index) = 0;
-    virtual OpTiming timeConcat(TimingContext &ctx) = 0;
-    virtual OpTiming timeBatchMM(TimingContext &ctx) = 0;
-    virtual OpTiming timeActivation(TimingContext &ctx,
-                                    const std::string &name,
-                                    int64_t elements) = 0;
+    virtual void timeFc(TimingContext &ctx, int64_t in, int64_t out,
+                        OpTiming &t) = 0;
+    virtual void timeSls(TimingContext &ctx, size_t table_index,
+                         OpTiming &t) = 0;
+    virtual void timeConcat(TimingContext &ctx, OpTiming &t) = 0;
+    virtual void timeBatchMM(TimingContext &ctx, OpTiming &t) = 0;
+    virtual void timeActivation(TimingContext &ctx, int64_t elements,
+                                OpTiming &t) = 0;
 
   protected:
     explicit ComputeBackend(const BackendConfig &config)

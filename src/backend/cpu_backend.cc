@@ -6,7 +6,6 @@
 
 #include "backend/timing_shared.hh"
 #include "core/aligned.hh"
-#include "core/logging.hh"
 #include "timing/model_timer.hh"
 
 namespace recperf {
@@ -18,13 +17,10 @@ constexpr int64_t kHostPrefetchRows = 8;
 
 } // namespace
 
-OpTiming
-CpuBackend::timeFc(TimingContext &ctx, const std::string &name,
-                   int64_t in, int64_t out)
+void
+CpuBackend::timeFc(TimingContext &ctx, int64_t in, int64_t out, OpTiming &t)
 {
-    OpTiming t;
     t.kind = OpKind::FC;
-    t.name = name;
 
     const double weight_bytes = static_cast<double>(in * out + out) * 4.0;
     const double act_bytes =
@@ -117,15 +113,12 @@ CpuBackend::timeFc(TimingContext &ctx, const std::string &name,
     double ht = ctx.hyperthreading ? kHtFcPenalty : 1.0;
     t.seconds = (std::max(t.computeSeconds, stream_seconds) +
                  refetch_extra + t.dispatchSeconds) * ht;
-    return t;
 }
 
-OpTiming
-CpuBackend::timeSls(TimingContext &ctx, size_t table_index)
+void
+CpuBackend::timeSls(TimingContext &ctx, size_t table_index, OpTiming &t)
 {
-    OpTiming t;
     t.kind = OpKind::SLS;
-    t.name = strprintf("SparseLengthsSum[%zu]", table_index);
 
     const int64_t dim = ctx.config.emb.embDim;
     const int64_t row_bytes = ctx.config.emb.rowBytes();
@@ -140,7 +133,7 @@ CpuBackend::timeSls(TimingContext &ctx, size_t table_index)
     // keeps the draw order; the IDs in hand let the host load the LLC
     // tag blocks a few rows ahead of the simulated accesses.
     IdGenerator &gen = *(*ctx.tableGens)[table_index];
-    thread_local std::vector<uint64_t> row_addrs;
+    std::vector<uint64_t> &row_addrs = *ctx.rowAddrs;
     row_addrs.resize(static_cast<size_t>(rows));
     for (uint64_t &addr : row_addrs) {
         addr = table_base + static_cast<uint64_t>(gen.next()) *
@@ -204,15 +197,12 @@ CpuBackend::timeSls(TimingContext &ctx, size_t table_index)
     double ht = ctx.hyperthreading ? kHtSlsPenalty : 1.0;
     t.seconds = (std::max(t.computeSeconds, t.memorySeconds) +
                  t.dispatchSeconds) * ht;
-    return t;
 }
 
-OpTiming
-CpuBackend::timeConcat(TimingContext &ctx)
+void
+CpuBackend::timeConcat(TimingContext &ctx, OpTiming &t)
 {
-    OpTiming t;
     t.kind = OpKind::Concat;
-    t.name = "Concat";
     double bytes = static_cast<double>(ctx.batch) *
         static_cast<double>(ctx.config.topInputDim()) * 4.0 * 2.0;
     t.memorySeconds = ctx.machine.streamSeconds(HitLevel::L2, bytes);
@@ -222,15 +212,12 @@ CpuBackend::timeConcat(TimingContext &ctx)
     t.cost.bytesWritten = bytes * 0.5;
     double ht = ctx.hyperthreading ? kHtSlsPenalty : 1.0;
     t.seconds = (t.memorySeconds + t.dispatchSeconds) * ht;
-    return t;
 }
 
-OpTiming
-CpuBackend::timeBatchMM(TimingContext &ctx)
+void
+CpuBackend::timeBatchMM(TimingContext &ctx, OpTiming &t)
 {
-    OpTiming t;
     t.kind = OpKind::BatchMM;
-    t.name = "BatchMatMul";
 
     const int64_t f = ctx.config.featureCount();
     const int64_t d = ctx.config.emb.embDim;
@@ -262,16 +249,13 @@ CpuBackend::timeBatchMM(TimingContext &ctx)
     double ht = ctx.hyperthreading ? kHtFcPenalty : 1.0;
     t.seconds = (std::max(t.computeSeconds, t.memorySeconds) +
                  t.dispatchSeconds) * ht;
-    return t;
 }
 
-OpTiming
-CpuBackend::timeActivation(TimingContext &ctx, const std::string &name,
-                           int64_t elements)
+void
+CpuBackend::timeActivation(TimingContext &ctx, int64_t elements,
+                           OpTiming &t)
 {
-    OpTiming t;
     t.kind = OpKind::Activation;
-    t.name = name;
     double flops = static_cast<double>(elements);
     double bytes = flops * 4.0 * 2.0;
     t.computeSeconds = flops /
@@ -288,7 +272,6 @@ CpuBackend::timeActivation(TimingContext &ctx, const std::string &name,
     double ht = ctx.hyperthreading ? kHtSlsPenalty : 1.0;
     t.seconds = (std::max(t.computeSeconds, t.memorySeconds) +
                  t.dispatchSeconds) * ht;
-    return t;
 }
 
 } // namespace recperf

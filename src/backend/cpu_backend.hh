@@ -29,13 +29,14 @@ class CpuBackend : public ComputeBackend
 
     BackendKind kind() const override { return BackendKind::Cpu; }
 
-    OpTiming timeFc(TimingContext &ctx, const std::string &name,
-                    int64_t in, int64_t out) override;
-    OpTiming timeSls(TimingContext &ctx, size_t table_index) override;
-    OpTiming timeConcat(TimingContext &ctx) override;
-    OpTiming timeBatchMM(TimingContext &ctx) override;
-    OpTiming timeActivation(TimingContext &ctx, const std::string &name,
-                            int64_t elements) override;
+    void timeFc(TimingContext &ctx, int64_t in, int64_t out,
+                OpTiming &t) override;
+    void timeSls(TimingContext &ctx, size_t table_index,
+                 OpTiming &t) override;
+    void timeConcat(TimingContext &ctx, OpTiming &t) override;
+    void timeBatchMM(TimingContext &ctx, OpTiming &t) override;
+    void timeActivation(TimingContext &ctx, int64_t elements,
+                        OpTiming &t) override;
 };
 
 } // namespace recperf

@@ -1,10 +1,7 @@
 #include "backend/nmp_backend.hh"
 
 #include <algorithm>
-#include <unordered_set>
 #include <vector>
-
-#include "core/logging.hh"
 
 namespace recperf {
 
@@ -29,8 +26,8 @@ nmpTableOffloaded(const NmpConfig &config, uint64_t storage_bytes,
         config.hostLlcFraction * llc_share_bytes;
 }
 
-OpTiming
-NmpBackend::timeSls(TimingContext &ctx, size_t table_index)
+void
+NmpBackend::timeSls(TimingContext &ctx, size_t table_index, OpTiming &t)
 {
     const int64_t row_bytes = ctx.config.emb.rowBytes();
     const uint64_t storage_bytes =
@@ -38,12 +35,12 @@ NmpBackend::timeSls(TimingContext &ctx, size_t table_index)
             ctx.config.emb.rowsOf(static_cast<int64_t>(table_index))) *
         static_cast<uint64_t>(row_bytes);
     if (!nmpTableOffloaded(config_.nmp, storage_bytes,
-                           ctx.llcShareBytes()))
-        return CpuBackend::timeSls(ctx, table_index);
+                           ctx.llcShareBytes())) {
+        CpuBackend::timeSls(ctx, table_index, t);
+        return;
+    }
 
-    OpTiming t;
     t.kind = OpKind::SLS;
-    t.name = strprintf("NMP-SparseLengthsSum[%zu]", table_index);
 
     const NmpConfig &nmp = config_.nmp;
     const int64_t dim = ctx.config.emb.embDim;
@@ -56,17 +53,24 @@ NmpBackend::timeSls(TimingContext &ctx, size_t table_index)
     // one offloaded op are coalesced — a RecNMP-style engine memoizes
     // the row after its first read and folds repeats into the running
     // sum — which is exactly what defuses the Zipf-hot-row rank
-    // imbalance (every copy of a hot ID lands on the same rank).
+    // imbalance (every copy of a hot ID lands on the same rank). The
+    // distinct IDs are sorted in the timer's scratch, mapped to their
+    // ranks and sorted again, so the longest run of one rank is the
+    // most-loaded rank's row count.
     IdGenerator &gen = *(*ctx.tableGens)[table_index];
-    std::vector<uint64_t> per_rank(nmp.ranks, 0);
-    std::unordered_set<uint64_t> seen;
-    seen.reserve(static_cast<size_t>(rows));
-    for (int64_t r = 0; r < rows; ++r) {
-        uint64_t id = static_cast<uint64_t>(gen.next());
-        if (!seen.insert(id).second)
-            continue;
-        uint64_t h = (id + 1) * 0x9E3779B97F4A7C15ull;
-        per_rank[(h >> 32) % nmp.ranks] += 1;
+    std::vector<uint64_t> &ids = *ctx.rowAddrs;
+    ids.resize(static_cast<size_t>(rows));
+    for (uint64_t &id : ids)
+        id = static_cast<uint64_t>(gen.next());
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    for (uint64_t &id : ids)
+        id = (((id + 1) * 0x9E3779B97F4A7C15ull) >> 32) % nmp.ranks;
+    std::sort(ids.begin(), ids.end());
+    uint64_t max_rank_rows = 0;
+    for (size_t i = 0, run = 0; i < ids.size(); ++i) {
+        run = i > 0 && ids[i] == ids[i - 1] ? run + 1 : 1;
+        max_rank_rows = std::max<uint64_t>(max_rank_rows, run);
     }
 
     // In-rank gather: each rank reads its share of rows at its own
@@ -75,9 +79,6 @@ NmpBackend::timeSls(TimingContext &ctx, size_t table_index)
     const double row_seconds =
         static_cast<double>(row_bytes) / (nmp.rankGBps * 1e9) +
         nmp.rowAccessNs * 1e-9;
-    uint64_t max_rank_rows = 0;
-    for (uint64_t rank_rows : per_rank)
-        max_rank_rows = std::max(max_rank_rows, rank_rows);
     const double gather_seconds =
         static_cast<double>(max_rank_rows) * row_seconds;
 
@@ -111,7 +112,6 @@ NmpBackend::timeSls(TimingContext &ctx, size_t table_index)
 
     t.seconds = upload_seconds + gather_seconds + download_seconds +
         t.dispatchSeconds;
-    return t;
 }
 
 } // namespace recperf

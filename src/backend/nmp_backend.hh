@@ -41,7 +41,8 @@ class NmpBackend : public CpuBackend
 
     BackendKind kind() const override { return BackendKind::Nmp; }
 
-    OpTiming timeSls(TimingContext &ctx, size_t table_index) override;
+    void timeSls(TimingContext &ctx, size_t table_index,
+                 OpTiming &t) override;
 };
 
 } // namespace recperf

@@ -181,16 +181,22 @@ ThreadPool::parallelFor(int64_t begin, int64_t end, int64_t grain,
     {
         std::lock_guard<std::mutex> lock(mu_);
         for (const std::unique_ptr<Region> &r : regions_) {
-            if (!r->busy &&
-                r->holders.load(std::memory_order_acquire) == 0) {
-                region = r.get();
+            if (r->busy)
+                continue;
+            region = r.get();
+            if (r->holders.load(std::memory_order_acquire) == 0)
                 break;
-            }
         }
         if (!region) {
             regions_.push_back(std::make_unique<Region>());
             region = regions_.back().get();
         }
+        // An idle region may still be held by a worker that finished
+        // its last chunk and is leaving runChunks; it leaves without
+        // the lock, so the wait is short, and a back-to-back caller
+        // reuses the region instead of allocating another.
+        while (region->holders.load(std::memory_order_acquire) != 0)
+            std::this_thread::yield();
         region->busy = true;
         region->fn = &fn;
         region->begin = begin;

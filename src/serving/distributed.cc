@@ -1,6 +1,7 @@
 #include "serving/distributed.hh"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -84,6 +85,10 @@ ShardedInference::ShardedInference(const MachineSpec &machine,
     // The aggregator runs everything except the embedding gathers; it
     // is timed with the full model and its SLS share subtracted.
     agg_timer_ = std::make_unique<ModelTimer>(machine_, config_, options_);
+
+    for (const auto &timer : shard_timers_)
+        fanout_.push_back(timer.get());
+    fanout_.push_back(agg_timer_.get());
 }
 
 uint32_t
@@ -239,11 +244,11 @@ ShardedInference::run(const RunOptions &options)
     std::vector<double> calib;
     int warmup = std::max(options.warmupIters, 2);
     for (int i = 0; i < warmup; ++i) {
+        ModelTimer::runAll(fanout_);
         for (auto &timer : shard_timers_) {
-            double s = timer->run().secondsByKind(OpKind::SLS);
+            double s = timer->timing().secondsByKind(OpKind::SLS);
             (i == 0 ? cold : calib).push_back(s);
         }
-        agg_timer_->run();
     }
     double hedge_delay = options.hedge.delaySeconds > 0.0
         ? options.hedge.delaySeconds : percentile(calib, 95.0);
@@ -276,6 +281,17 @@ ShardedInference::run(const RunOptions &options)
     obs::Tracer &tracer = obs::Tracer::global();
     if (sdc && tracer.enabled())
         sdc->setTracer(&tracer, static_cast<int>(numNodes()) + 1);
+    // The shard lanes' spans of one inference, drawn once its outcome
+    // is known so a cancelled fan-out can cut them at the cancellation
+    // point.
+    struct LaneSpan
+    {
+        double elapsed;
+        bool ok;
+        double base;
+    };
+    std::vector<LaneSpan> lane_spans;
+    lane_spans.reserve(numNodes());
 
     double now = 0.0;
     double sum_slowest = 0.0;
@@ -306,12 +322,17 @@ ShardedInference::run(const RunOptions &options)
         double min_clean = 0.0;
         bool clamped = false;
         double offload = 0.0;
-        // Each inference carries its own budget, anchored at issue
-        // time; once any shard gives up on the deadline, the remaining
-        // shards are never queried.
+        // The whole fan-out is issued at once: every shard timer and
+        // the aggregator advance together on the pool, and the shards
+        // then resolve in shard order from the finished timings. Each
+        // inference carries its own budget, anchored at issue time;
+        // once any shard gives up on the deadline, the remaining shards
+        // are never routed.
         const Deadline deadline{now, options.deadlineSeconds};
+        ModelTimer::runAll(fanout_);
+        lane_spans.clear();
         for (uint32_t s = 0; s < numNodes(); ++s) {
-            ModelTiming shard_timing = shard_timers_[s]->run();
+            const ModelTiming &shard_timing = shard_timers_[s]->timing();
             double base = shard_timing.secondsByKind(OpKind::SLS);
             // The fault-free shard time, before the scrub slowdown:
             // the request log charges the difference to the Scrub
@@ -334,13 +355,8 @@ ShardedInference::run(const RunOptions &options)
                 verify = sdc->onShardLookup(s, out.replica, now);
                 out.elapsed += verify;
             }
-            if (tracer.enabled()) {
-                tracer.span("shard", strprintf("sls s%u", s), now,
-                            now + out.elapsed, 1 + s,
-                            {{"ok", out.ok ? "true" : "false"},
-                             {"base_us",
-                              strprintf("%.3f", base * 1e6)}});
-            }
+            if (tracer.enabled())
+                lane_spans.push_back({out.elapsed, out.ok, base});
             if (window.recording()) {
                 clamped = clamped || out.deadlineClamped;
                 for (const OpTiming &op : shard_timing.ops)
@@ -384,7 +400,7 @@ ShardedInference::run(const RunOptions &options)
             mark_at = now + latency;
             now += latency;
         } else {
-            ModelTiming agg = agg_timer_->run();
+            const ModelTiming &agg = agg_timer_->timing();
             agg_seconds =
                 agg.totalSeconds() - agg.secondsByKind(OpKind::SLS);
             network = networkSeconds(nullptr);
@@ -420,6 +436,15 @@ ShardedInference::run(const RunOptions &options)
                 mark_at = now + elapsed_max;
                 now += elapsed_max + network;
             }
+        }
+        const double cut = outcome == RequestOutcome::Cancelled
+            ? issue + latency : std::numeric_limits<double>::infinity();
+        for (uint32_t s = 0; s < lane_spans.size(); ++s) {
+            const LaneSpan &lane = lane_spans[s];
+            tracer.span("shard", strprintf("sls s%u", s), issue,
+                        std::min(issue + lane.elapsed, cut), 1 + s,
+                        {{"ok", lane.ok ? "true" : "false"},
+                         {"base_us", strprintf("%.3f", lane.base * 1e6)}});
         }
         if (sdc && outcome != RequestOutcome::Served)
             sdc->dropInference();
@@ -594,7 +619,9 @@ ShardedInference::resolveReplicated(FaultInjector &injector,
         out.retryWaitSeconds = waited;
         out.serviceSeconds = base_seconds;
         out.warmupSeconds = body - body / warm;
-        out.stragglerSeconds = body / warm - base_seconds;
+        // Without a fault slowdown the round trip through `warm` can
+        // land a few ulps below the base: the share is never negative.
+        out.stragglerSeconds = std::max(0.0, body / warm - base_seconds);
         if (by_hedge) {
             out.hedgeWaitSeconds = hedge_delay;
             out.hedgeWon = true;

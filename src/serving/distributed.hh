@@ -328,8 +328,15 @@ class ShardedInference
     std::vector<std::unique_ptr<ModelTimer>> shard_timers_;
     /** Row counts of the tables each shard holds (round-robin deal). */
     std::vector<std::vector<int64_t>> shard_rows_;
-    /** Timer for the aggregator's dense work (no tables). */
+    /** Timer for the aggregator: the full model, whose SLS share is
+     *  subtracted to leave the dense work. */
     std::unique_ptr<ModelTimer> agg_timer_;
+    /**
+     * One inference's whole fan-out for ModelTimer::runAll: the shard
+     * timers in shard order, then the aggregator. It times the full
+     * model, so it is the heaviest and, listed last, starts first.
+     */
+    std::vector<ModelTimer *> fanout_;
 };
 
 } // namespace recperf

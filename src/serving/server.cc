@@ -315,16 +315,19 @@ Server::serviceBatch(size_t worker, int64_t batch, double now,
                    options_.brownout.truncateFraction)));
     }
     workers_[worker]->setBatch(effective);
-    ModelTiming timing = workers_[worker]->run();
+    const ModelTiming *timed = &workers_[worker]->run();
     // L2 skips low-value embedding tables; L3 answers from cached
-    // (stale) pooled embeddings. Both scale the SLS ops *inside* the
-    // timing record, so the per-op trace spans keep tiling the batch
-    // span exactly and the FC share is untouched.
+    // (stale) pooled embeddings. Both scale the SLS ops *inside* a
+    // copy of the timing record, so the per-op trace spans keep tiling
+    // the batch span exactly and the FC share is untouched.
+    ModelTiming scaled;
     if (level == BrownoutLevel::SkipTables ||
         level == BrownoutLevel::StaleEmbeddings) {
         double keep = level == BrownoutLevel::SkipTables
             ? 1.0 - options_.brownout.skipTableFraction : 0.0;
-        for (OpTiming &op : timing.ops) {
+        scaled = *timed;
+        timed = &scaled;
+        for (OpTiming &op : scaled.ops) {
             if (op.kind != OpKind::SLS)
                 continue;
             op.seconds *= keep;
@@ -346,15 +349,15 @@ Server::serviceBatch(size_t worker, int64_t batch, double now,
     if (fault_mult)
         *fault_mult = fault;
     if (fc_seconds)
-        *fc_seconds = timing.secondsByKind(OpKind::FC) * jitter;
+        *fc_seconds = timed->secondsByKind(OpKind::FC) * jitter;
     // Per-op child spans tile the enclosing batch span exactly because
     // each op is stretched by the same jitter as the batch total.
     obs::Tracer &tracer = obs::Tracer::global();
     if (tracer.enabled()) {
-        emitOpSpans(tracer, timing, now,
+        emitOpSpans(tracer, *timed, now,
                     static_cast<uint32_t>(1 + worker), jitter);
     }
-    return timing.totalSeconds() * jitter;
+    return timed->totalSeconds() * jitter;
 }
 
 ServingStats

@@ -54,6 +54,7 @@ Cache::Cache(std::string name, uint64_t size_bytes, uint32_t associativity,
     auto base = reinterpret_cast<uintptr_t>(alloc_);
     store_ = reinterpret_cast<uint8_t *>(
         (base + kHostLineBytes - 1) / kHostLineBytes * kHostLineBytes);
+    order_.resize(assoc_);
 }
 
 Cache::~Cache()
@@ -68,16 +69,17 @@ Cache::renumberStamps(uint8_t *set)
     // compares stamps within one set, so this changes no decision.
     uint64_t *t = tags(set);
     uint16_t *s = stamps(set);
-    std::vector<uint32_t> order;
+    uint32_t *order = order_.data();
+    uint32_t k = 0;
     for (uint32_t w = 0; w < assoc_; ++w) {
         if (t[w] != 0)
-            order.push_back(w);
+            order[k++] = w;
     }
-    std::sort(order.begin(), order.end(),
+    std::sort(order, order + k,
               [s](uint32_t a, uint32_t b) { return s[a] < s[b]; });
-    for (size_t i = 0; i < order.size(); ++i)
+    for (uint32_t i = 0; i < k; ++i)
         s[order[i]] = static_cast<uint16_t>(i + 1);
-    clock(set) = static_cast<uint16_t>(order.size());
+    clock(set) = static_cast<uint16_t>(k);
 }
 
 

@@ -276,6 +276,9 @@ class Cache
     uint32_t set_stride_;
     void *alloc_ = nullptr;
     uint8_t *store_ = nullptr;
+    /** renumberStamps' way-order scratch, one slot per way, so a
+     *  simulated access never allocates. */
+    std::vector<uint32_t> order_;
     CacheStats stats_;
 };
 

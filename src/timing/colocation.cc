@@ -145,7 +145,7 @@ ColocationSim::run(int warmup_iters, int measure_iters)
     std::vector<ModelTiming> sums(n);
     for (int i = 0; i < measure_iters; ++i) {
         for (size_t t = 0; t < n; ++t) {
-            ModelTiming timing = timers_[t]->run();
+            const ModelTiming &timing = timers_[t]->run();
             result.latencySamples.push_back(timing.totalSeconds());
             result.fcSamples.push_back(timing.secondsByKind(OpKind::FC));
             result.slsSamples.push_back(timing.secondsByKind(OpKind::SLS));

@@ -32,7 +32,9 @@
 #ifndef RECPERF_TIMING_MODEL_TIMER_HH
 #define RECPERF_TIMING_MODEL_TIMER_HH
 
+#include <array>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "backend/compute_backend.hh"
@@ -118,8 +120,27 @@ class ModelTimer
      */
     void setBatch(int64_t batch);
 
-    /** Time one inference, advancing cache and trace state. */
-    ModelTiming run();
+    /**
+     * Time one inference, advancing cache and trace state. The result
+     * lives in this timer and is overwritten by its next run.
+     */
+    const ModelTiming &run();
+
+    /**
+     * Run every timer of @p timers once, all at once on the thread
+     * pool, then record their telemetry on the calling thread in list
+     * order, so HwTelemetry sums exactly what consecutive run() calls
+     * would. Each timer must own its hierarchy: the simulate step
+     * touches only the timer's own caches, ID generators, contention
+     * RNG and scratch, so co-located tenants sharing one hierarchy can
+     * never take this path. Workers claim the list from its end, so a
+     * caller that lists its heaviest timer last starts it first. At
+     * one pool thread this is the serial loop.
+     */
+    static void runAll(const std::vector<ModelTimer *> &timers);
+
+    /** The timing of this timer's most recent run. */
+    const ModelTiming &timing() const { return timing_; }
 
     /**
      * Warm up, then return the average per-inference timing.
@@ -143,6 +164,19 @@ class ModelTimer
     /** Snapshot the state a backend timing hook may read or advance. */
     TimingContext makeContext();
 
+    /**
+     * The two halves of run(). simulate() advances this timer's own
+     * state into timing_ and allocates nothing once the timer is
+     * built; publish(), on the calling thread, names each gather by
+     * where it ran and folds the run into HwTelemetry (a no-op while
+     * telemetry is off).
+     */
+    void simulate();
+    void publish();
+
+    /** Op slot @p i zeroed for its hook, keeping the op's name. */
+    OpTiming &freshOp(size_t i);
+
     MachineSpec machine_;
     ModelConfig config_;
     TimerOptions options_;
@@ -159,6 +193,14 @@ class ModelTimer
     Rng contention_rng_{0};
 
     std::vector<std::unique_ptr<IdGenerator>> table_gens_;
+
+    /** Per-run storage: the ops, named once at construction, and the
+     *  SLS hook's row-address scratch, sized for the batch. */
+    ModelTiming timing_;
+    std::vector<uint64_t> row_addrs_;
+
+    /** Each table's gather name on the host and on the NMP engine. */
+    std::vector<std::array<std::string, 2>> sls_names_;
 };
 
 } // namespace recperf

@@ -105,6 +105,7 @@ RepeatGen::RepeatGen(std::unique_ptr<IdGenerator> base, double repeat_prob,
     RP_ASSERT(repeat_prob >= 0.0 && repeat_prob < 1.0,
               "repeat probability %f out of [0, 1)", repeat_prob);
     RP_ASSERT(window > 0, "RepeatGen needs a positive window");
+    history_.reserve(window_);
 }
 
 int64_t

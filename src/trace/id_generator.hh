@@ -117,8 +117,8 @@ class RepeatGen : public IdGenerator
     Rng rng_;
     /**
      * The last min(draws, window) IDs as a ring, oldest at head_. It
-     * grows by push_back until full, so a table that never draws a
-     * full window never allocates one.
+     * grows by push_back until full into a window reserved up front,
+     * so a draw never allocates (timers draw on pool workers).
      */
     std::vector<int64_t> history_;
     size_t head_ = 0;

@@ -261,6 +261,22 @@ TEST(CliContract, CommandsRunWithInScopeFlags)
     }
 }
 
+TEST(CliContract, ShardLogUnderFastRecoveryIsExplainable)
+{
+    // Replicas that revive every few ms serve warm-up-inflated attempts
+    // with no fault slowdown; their straggler share must not round
+    // below zero, or `explain` rejects the whole log.
+    std::string log = tempPath("recovering_shards.jsonl");
+    ASSERT_EQ(runCli("shard --model rmc1 --nodes 4 --iters 300 "
+                     "--mtbf-ms 2 --mttr-ms 1 --retries 1 "
+                     "--request-log-out " + log)
+                  .status,
+              0);
+    CliRun run = runCli("explain --request-log " + log,
+                        /*capture_stderr=*/true);
+    EXPECT_EQ(run.status, 0) << run.out;
+}
+
 TEST(CliContract, EmptyArtifactIsAnError)
 {
     std::string empty = tempPath("empty.json");

@@ -13,6 +13,7 @@
 #include "core/thread_pool.hh"
 #include "machine/machine_spec.hh"
 #include "model/zoo.hh"
+#include "obs/hw_counters.hh"
 #include "resilience/deadline.hh"
 #include "serving/distributed.hh"
 #include "serving/server.hh"
@@ -188,6 +189,43 @@ TEST(ShardedDeadline, HopelessBudgetFailsFastEveryInference)
     EXPECT_EQ(r.completed, 0u);
     EXPECT_GT(r.deadlineFastFails, 0u);
     EXPECT_EQ(r.retries, 0u);
+}
+
+/** HwTelemetry totals of a 40-inference RMC1 run over 4 shards. */
+obs::HwTotals
+shardTelemetry(double deadline_seconds)
+{
+    obs::HwTelemetry &telem = obs::HwTelemetry::global();
+    telem.reset();
+    telem.setEnabled(true);
+    TimerOptions topts;
+    topts.batch = 16;
+    ShardedInference sim(broadwell(), rmc1Small(), 4, NetworkConfig{},
+                         topts);
+    RunOptions opts = shardOptions(40);
+    opts.deadlineSeconds = deadline_seconds;
+    RunResult r = sim.run(opts);
+    EXPECT_EQ(r.deadlineExpired, deadline_seconds > 0.0 ? 40u : 0u);
+    obs::HwTotals totals = telem.totals();
+    telem.setEnabled(false);
+    telem.reset();
+    return totals;
+}
+
+TEST(ShardedDeadline, CancelledFanOutStillAdvancesEveryTimer)
+{
+    // The whole fan-out is issued before any shard resolves: even when
+    // the first shard cancels on the budget, every shard timer and the
+    // aggregator advanced their simulated state for the inference, so
+    // telemetry matches a run in which every inference completes.
+    obs::HwTotals hopeless = shardTelemetry(1e-9);
+    obs::HwTotals open = shardTelemetry(0.0);
+    EXPECT_GT(open.cache.l1.accesses, 0u);
+    EXPECT_EQ(hopeless.cache.l1.accesses, open.cache.l1.accesses);
+    EXPECT_EQ(hopeless.cache.l3.misses, open.cache.l3.misses);
+    EXPECT_EQ(hopeless.dramLines, open.dramLines);
+    EXPECT_EQ(hopeless.flops, open.flops);
+    EXPECT_EQ(hopeless.seconds, open.seconds);
 }
 
 TEST(ShardedDeadline, DisabledBudgetMatchesLegacyRun)

@@ -7,6 +7,10 @@
  * nothing anew: the activation arena, the SLS offsets and the pool's
  * region bookkeeping are all reused, and only the returned [batch, 1]
  * tensor (its shape vector and its storage) is allocated.
+ *
+ * The virtual-time plane goes further: a warm ModelTimer run allocates
+ * nothing at all, because a sharded inference runs its timers on pool
+ * workers, where every allocation can grow a per-thread malloc arena.
  */
 
 #include <gtest/gtest.h>
@@ -16,8 +20,11 @@
 #include <new>
 
 #include "core/rng.hh"
+#include "core/thread_pool.hh"
+#include "machine/machine_spec.hh"
 #include "model/rec_model.hh"
 #include "model/zoo.hh"
+#include "timing/model_timer.hh"
 
 namespace {
 
@@ -105,6 +112,66 @@ TEST(ForwardAllocs, Rmc3Batch64SteadyStateAllocatesOnlyTheOutput)
     const double per_forward =
         static_cast<double>(g_allocs.load()) / kForwards;
     EXPECT_LE(per_forward, 4.0);
+}
+
+/** Restore the pool size after a test that changes it. */
+class ScopedThreads
+{
+  public:
+    explicit ScopedThreads(int threads) : saved_(globalThreadCount())
+    {
+        setGlobalThreadCount(threads);
+    }
+    ~ScopedThreads() { setGlobalThreadCount(saved_); }
+
+  private:
+    int saved_;
+};
+
+/** Heap allocations made by @p runs calls of @p fn. */
+template <typename Fn>
+uint64_t
+allocsOver(int runs, Fn fn)
+{
+    g_allocs.store(0);
+    g_counting.store(true);
+    for (int i = 0; i < runs; ++i)
+        fn();
+    g_counting.store(false);
+    return g_allocs.load();
+}
+
+TEST(TimerAllocs, WarmRunAllocatesNothing)
+{
+    for (BackendKind kind : {BackendKind::Cpu, BackendKind::Nmp}) {
+        SCOPED_TRACE(backendKindName(kind));
+        TimerOptions opts;
+        opts.batch = 16;
+        opts.backend.kind = kind;
+        opts.backend.nmp.placement = NmpPlacement::All;
+        ModelTimer timer(broadwell(), rmc2Small(), opts);
+        (void)timer.run();
+        EXPECT_EQ(allocsOver(10, [&] { (void)timer.run(); }), 0u);
+    }
+}
+
+TEST(TimerAllocs, ConcurrentFanOutAllocatesNothing)
+{
+    // The sharded fan-out's shape: one timer per shard plus the
+    // aggregator, run at once on a multi-thread pool.
+    ScopedThreads threads(4);
+    TimerOptions opts;
+    opts.batch = 16;
+    std::vector<std::unique_ptr<ModelTimer>> owned;
+    std::vector<ModelTimer *> fanout;
+    for (uint64_t s = 0; s < 5; ++s) {
+        opts.seed = 42 + s;
+        owned.push_back(
+            std::make_unique<ModelTimer>(broadwell(), rmc1Small(), opts));
+        fanout.push_back(owned.back().get());
+    }
+    ModelTimer::runAll(fanout); // warms the pool's region bookkeeping
+    EXPECT_EQ(allocsOver(10, [&] { ModelTimer::runAll(fanout); }), 0u);
 }
 
 } // namespace
